@@ -20,7 +20,7 @@ use uwm_core::exec::{batch_seed, ShardedExecutor};
 use uwm_core::skelly::{Skelly, SkellySpec};
 use uwm_core::Result;
 use uwm_crypto::sha1::{Sha1, H0, K};
-use uwm_sim::machine::{Machine, MachineConfig};
+use uwm_sim::machine::{MachineConfig, MachineSnapshot};
 
 /// SHA-1 evaluator running on a [`Skelly`] weird machine.
 ///
@@ -157,7 +157,7 @@ pub struct Sha1Batch {
 /// every item rewinds to.
 struct ShardPool {
     sk: Skelly,
-    snap: Box<Machine>,
+    snap: MachineSnapshot,
 }
 
 impl Sha1Batch {

@@ -16,6 +16,10 @@
 //! - `sha1_block` — one SHA-1 compression per item through the pooled
 //!   [`Sha1Batch`] runner
 //!
+//! It also times `Substrate::restore` alone, as the batch engine pays it
+//! once per `adder32_batch` item, and reports it as `restore_over_bp_and`:
+//! nanoseconds per restore over nanoseconds per `bp_and` evaluation.
+//!
 //! Usage: `hotpath [scale] [--shards N] [--json PATH] [--baseline PATH]
 //! [--check-regression FRAC]`
 //!
@@ -28,7 +32,10 @@
 //! `bp_and` rate so the comparison cancels host speed (CI runners and dev
 //! machines differ), and the in-run `adder32_batch` / `adder32_serial`
 //! speedup — a pure ratio, host-independent at a fixed shard count — is
-//! compared directly.
+//! compared directly. So is `restore_over_bp_and`, which fails the check
+//! when it grows more than `FRAC` over the baseline's.
+
+use std::time::Instant;
 
 use uwm_apps::{Sha1Batch, UwmSha1};
 use uwm_bench::harness;
@@ -39,7 +46,7 @@ use uwm_core::circuit::{adder32_inputs, adder32_spec, CircuitSpec};
 use uwm_core::exec::{batch_seed, ShardedExecutor};
 use uwm_core::layout::Layout;
 use uwm_core::skelly::Skelly;
-use uwm_core::substrate::DEFAULT_ALIAS_STRIDE;
+use uwm_core::substrate::{Substrate, DEFAULT_ALIAS_STRIDE};
 use uwm_crypto::sha1::H0;
 use uwm_sim::machine::{Machine, MachineConfig};
 
@@ -248,6 +255,45 @@ fn adder32_batch_workload(spec: &CircuitSpec, seed: u64, shards: usize, items: u
     }
 }
 
+/// Times `Substrate::restore` alone on one machine bound to the compiled
+/// adder: each timed restore undoes one untimed item, as in the batch
+/// engine's per-item loop. Each item also times one `bp_and` evaluation
+/// per input combination, so both figures see the same host state.
+/// Returns the fastest sample's nanoseconds per restore, and its ratio to
+/// the fastest sample's `bp_and` evaluation: the minima are the figures
+/// least disturbed by other load on the host.
+fn restore_measurement(spec: &CircuitSpec, seed: u64, items: u64) -> (f64, f64) {
+    const SAMPLES: usize = 7;
+    let plan = spec.compile();
+    let mut m = Machine::new(MachineConfig::default(), seed);
+    let c = plan.instantiate(&mut m);
+    let snap = Substrate::snapshot(&m);
+    // The first restore from a snapshot copies everything; the measured
+    // ones follow the steady-state dirty-set path.
+    Substrate::restore(&mut m, &snap);
+    let mut sk = Skelly::noisy(seed).expect("skelly builds");
+    let (mut restore_ns, mut and_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..SAMPLES {
+        let (mut restore, mut and) = (0u128, 0u128);
+        for i in 0..items as usize {
+            let (a, b) = PAIRS[i % PAIRS.len()];
+            m.reseed(batch_seed(seed, i));
+            c.run(&mut m, &adder32_inputs(a, b)).expect("arity matches");
+            let start = Instant::now();
+            Substrate::restore(&mut m, &snap);
+            restore += start.elapsed().as_nanos();
+            let start = Instant::now();
+            for inputs in &INPUTS2 {
+                sk.execute_named("AND", inputs).expect("arity matches");
+            }
+            and += start.elapsed().as_nanos();
+        }
+        restore_ns = restore_ns.min(restore as f64 / items as f64);
+        and_ns = and_ns.min(and as f64 / (items as usize * INPUTS2.len()) as f64);
+    }
+    (restore_ns, restore_ns / and_ns)
+}
+
 /// Measures pooled SHA-1 compression: `blocks` single-block items
 /// streamed through [`Sha1Batch`] across `shards` pooled machines.
 fn sha1_block_workload(seed: u64, shards: usize, blocks: u64) -> Workload {
@@ -325,6 +371,8 @@ fn main() {
             .gate_evals_per_sec()
     };
     let batch_vs_serial = rate_of("adder32_batch") / rate_of("adder32_serial");
+    let restore_items = scaled(256, args.scale);
+    let (restore_ns, restore_over_bp_and) = restore_measurement(&circuit, seed + 7, restore_items);
 
     // A sharded AND run exercises the per-shard scratch reuse path.
     let sharded_ops = scaled(16 * uwm_bench::GATE_BATCH_OPS, args.scale);
@@ -358,6 +406,9 @@ fn main() {
          gate-evals/sec at {} shard(s)",
         args.shards
     );
+    println!(
+        "restore: {restore_ns:.0} ns per adder32 item = {restore_over_bp_and:.2}x a bp_and evaluation"
+    );
 
     let mut report = vec![
         ("bench", Json::Str("hotpath".to_owned())),
@@ -389,6 +440,14 @@ fn main() {
                     Json::Num(rate_of("adder32_batch")),
                 ),
                 ("batch_vs_serial", Json::Num(batch_vs_serial)),
+            ]),
+        ),
+        (
+            "restore",
+            Json::obj([
+                ("items", Json::UInt(restore_items)),
+                ("ns_per_restore", Json::Num(restore_ns)),
+                ("restore_over_bp_and", Json::Num(restore_over_bp_and)),
             ]),
         ),
     ];
@@ -458,6 +517,19 @@ fn main() {
                         "batch_vs_serial: {batch_vs_serial:.2}x, below {:.2} \
                          (baseline {base_ratio:.2}x at tolerance {frac})",
                         base_ratio * (1.0 - frac)
+                    ));
+                }
+            }
+            if let Some(base_ratio) = doc
+                .get("restore")
+                .and_then(|r| r.get("restore_over_bp_and"))
+                .and_then(Json::as_f64)
+            {
+                if restore_over_bp_and > base_ratio * (1.0 + frac) {
+                    regressions.push(format!(
+                        "restore_over_bp_and: {restore_over_bp_and:.2}, above {:.2} \
+                         (baseline {base_ratio:.2} at tolerance {frac})",
+                        base_ratio * (1.0 + frac)
                     ));
                 }
             }

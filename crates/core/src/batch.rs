@@ -13,9 +13,16 @@
 //! 1. each shard builds one backend, binds the plan to it
 //!    ([`CircuitPlan::instantiate`] — one predecode pass, warm, calibrate),
 //!    and takes a [`Substrate::snapshot`] of the warmed state;
-//! 2. for every item the shard restores the snapshot (O(touched state):
-//!    resident pages are overwritten in place), reseeds the backend's
-//!    randomness with [`batch_seed`]`(seed, item)`, and runs the circuit.
+//! 2. for every item the shard restores the snapshot, reseeds the
+//!    backend's randomness with [`batch_seed`]`(seed, item)`, and runs
+//!    the circuit.
+//!
+//! On `Machine` a restore costs what the previous item touched, not the
+//! machine's size. The program image is shared with the snapshot, state is
+//! copied in place, and because every item of a shard restores the same
+//! snapshot, only the cache sets the previous item dirtied are copied
+//! back. Only a shard's first restore copies every set (the lineage rule
+//! of `Machine::restore_from`).
 //!
 //! Because the restore is *full* — clock, RNG, statistics and trace
 //! included — every item starts from bit-identical machine state and a

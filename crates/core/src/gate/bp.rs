@@ -292,24 +292,6 @@ impl WeirdGate for BpAnd {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
     }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block.set_ic(s, inputs[0]);
-        self.block.train(s, inputs[1]);
-        s.flush_addr(self.out); // output := 0
-        self.block.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
-    }
 }
 
 /// Our weird `NAND` gate (§3.2.3 says a NAND exists but leaves the
@@ -389,24 +371,6 @@ impl WeirdGate for BpNand {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block.set_ic(s, inputs[0]);
-        self.block.train(s, inputs[1]);
-        s.timed_read(self.out); // output := 1 (pre-set)
-        self.block.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
     }
 }
 
@@ -494,27 +458,6 @@ impl WeirdGate for BpOr {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.block1.set_ic(s, inputs[0]);
-        self.block2.set_ic(s, true); // block 2's body must stay resident
-        self.block1.train(s, true); // unconditionally mistrained (Fig. 2)
-        self.block2.train(s, inputs[1]);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
     }
 }
 
@@ -611,27 +554,6 @@ impl WeirdGate for BpAndAndOr {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 4, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1], inputs[2], inputs[3]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 4, inputs)?;
-        self.block1.set_ic(s, inputs[0]);
-        self.block2.set_ic(s, inputs[2]);
-        self.block1.train(s, inputs[1]);
-        self.block2.train(s, inputs[3]);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
     }
 }
 

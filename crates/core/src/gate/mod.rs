@@ -170,44 +170,6 @@ pub trait WeirdGate {
     ///
     /// Returns [`CoreError::Arity`] when `inputs.len() != self.arity()`.
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading>;
-
-    /// Whether this gate implements the split protocol
-    /// ([`WeirdGate::begin`] / [`WeirdGate::activate_read`]) that lets a
-    /// harness prepare once and re-activate many times from a substrate
-    /// snapshot. Defaults to `false`; harnesses must fall back to
-    /// [`WeirdGate::execute_timed`] when unsupported.
-    fn supports_split(&self) -> bool {
-        false
-    }
-
-    /// First half of the split protocol: initialize the output registers
-    /// and encode `inputs` — everything input-dependent that precedes
-    /// activation. After `begin`, a harness may snapshot the substrate and
-    /// replay [`WeirdGate::activate_read`] from it any number of times.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Arity`] when `inputs.len() != self.arity()`.
-    ///
-    /// # Panics
-    ///
-    /// May panic when [`WeirdGate::supports_split`] is `false`.
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        let _ = (s, inputs);
-        unimplemented!("gate does not support the split protocol")
-    }
-
-    /// Second half of the split protocol: activate the gate body and read
-    /// the output register. Only valid on a substrate state produced by
-    /// [`WeirdGate::begin`] (directly or via snapshot restore).
-    ///
-    /// # Panics
-    ///
-    /// May panic when [`WeirdGate::supports_split`] is `false`.
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        let _ = s;
-        unimplemented!("gate does not support the split protocol")
-    }
 }
 
 /// Result of one timed gate execution.

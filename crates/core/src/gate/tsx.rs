@@ -238,22 +238,6 @@ impl WeirdGate for TsxAssign {
         check_arity(self.name(), 1, inputs)?;
         Ok(self.execute_reading(s, inputs[0]))
     }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 1, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.input, inputs[0]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
-    }
 }
 
 /// The TSX `AND` gate: `out := a & b` via `*(*a + *b + ADDR(out))`.
@@ -405,23 +389,6 @@ impl WeirdGate for TsxAnd {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
     }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
-    }
 }
 
 /// The TSX `OR` gate: two independent assignment chains into one output.
@@ -567,23 +534,6 @@ impl WeirdGate for TsxOr {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
     }
 }
 
@@ -759,25 +709,6 @@ impl WeirdGate for TsxAndOr {
         let (and, _) = self.execute_readings(s, inputs[0], inputs[1]);
         Ok(and)
     }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.in_a, inputs[0]);
-        set_dc(s, self.in_b, inputs[1]);
-        Ok(())
-    }
-
-    /// Reads the AND output; the OR line is left for the caller, matching
-    /// [`WeirdGate::execute_timed`]'s single-output view.
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out_and)
-    }
 }
 
 /// The TSX `NOT` gate: a speculative `clflush` with an address dependency
@@ -905,22 +836,6 @@ impl WeirdGate for TsxNot {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 1, inputs)?;
         Ok(self.execute_reading(s, inputs[0]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 1, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.input, inputs[0]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.out)
     }
 }
 
@@ -1058,23 +973,6 @@ impl WeirdGate for TsxXor {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-
-    fn supports_split(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<()> {
-        check_arity(self.name(), 2, inputs)?;
-        self.prepare(s);
-        set_dc(s, self.and_or.in_a(), inputs[0]);
-        set_dc(s, self.and_or.in_b(), inputs[1]);
-        Ok(())
-    }
-
-    fn activate_read(&self, s: &mut dyn Substrate) -> GateReading {
-        self.activate(s);
-        read_out(s, self.and2.out())
     }
 }
 

@@ -62,15 +62,10 @@ impl Redundancy {
     /// Executes `gate` redundantly and returns the voted output bit,
     /// recording accuracy statistics in `bank`.
     ///
-    /// When more than one raw execution is needed and the gate implements
-    /// the split protocol ([`WeirdGate::supports_split`]), the invariant
-    /// preparation — output initialization, input encoding, predictor
-    /// training — runs **once**: the prepared state is snapshotted and
-    /// every trial restores it ([`Substrate::restore_keeping_clock`], so
-    /// the clock stays monotonic and each trial draws fresh noise) before
-    /// activating and reading. Gates without split support, and the
-    /// no-redundancy default, fall back to the full per-trial protocol —
-    /// the default path is bit-identical to the unhoisted one.
+    /// Every raw execution runs the gate's full protocol (initialize,
+    /// encode, activate, read). Re-preparing a gate costs far less than
+    /// rewinding a machine to a prepared state would, so the voter never
+    /// snapshots.
     ///
     /// # Errors
     ///
@@ -92,25 +87,13 @@ impl Redundancy {
         );
         assert!(self.k > 0 && self.k <= self.votes, "need 0 < k <= votes");
         let expected = gate.truth(inputs);
-        let prepared = if self.raw_executions() > 1 && gate.supports_split() {
-            gate.begin(s, inputs)?;
-            Some(s.snapshot())
-        } else {
-            None
-        };
         let counters = bank.entry(gate.name());
         let mut ones = 0usize;
         let mut delays = Vec::with_capacity(self.samples);
         for _ in 0..self.votes {
             delays.clear();
             for _ in 0..self.samples {
-                let r = match &prepared {
-                    Some(snap) => {
-                        s.restore_keeping_clock(snap);
-                        gate.activate_read(s)
-                    }
-                    None => gate.execute_timed(s, inputs)?,
-                };
+                let r = gate.execute_timed(s, inputs)?;
                 counters.raw_total += 1;
                 if r.bit == expected {
                     counters.raw_correct += 1;
@@ -338,11 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_split_path_votes_correctly() {
+    fn paper_redundancy_votes_a_real_gate_correctly() {
         use crate::gate::tsx::TsxAnd;
         use crate::layout::Layout;
-        // A real split-capable gate on a noisy machine: prepare runs once,
-        // every raw execution replays the prepared snapshot.
+        // A real gate on a noisy machine, voted at the paper's redundancy.
         let mut m = Machine::new(uwm_sim::machine::MachineConfig::default(), 11);
         let mut lay = Layout::new(m.predictor().alias_stride());
         let g = TsxAnd::build(&mut m, &mut lay).unwrap();
@@ -356,28 +338,6 @@ mod tests {
         let c = bank.get("TSX_AND").unwrap();
         assert_eq!(c.raw_total, 4 * 50, "s*n raw executions per logical op");
         assert_eq!(c.vote_accuracy(), 1.0);
-    }
-
-    #[test]
-    fn clock_stays_monotonic_across_hoisted_trials() {
-        use crate::gate::tsx::TsxOr;
-        use crate::layout::Layout;
-        let mut m = Machine::new(uwm_sim::machine::MachineConfig::quiet(), 0);
-        let mut lay = Layout::new(m.predictor().alias_stride());
-        let g = TsxOr::build(&mut m, &mut lay).unwrap();
-        let red = Redundancy {
-            samples: 5,
-            votes: 3,
-            k: 2,
-        };
-        let before = uwm_sim::machine::Machine::cycles(&m);
-        let _ = red
-            .vote(&g, &mut m, &[true, false], &mut CounterBank::new())
-            .unwrap();
-        assert!(
-            uwm_sim::machine::Machine::cycles(&m) > before,
-            "restore_keeping_clock must not rewind time"
-        );
     }
 
     #[test]

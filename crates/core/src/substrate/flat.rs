@@ -93,20 +93,19 @@ impl FlatEmulator {
         self.regs[r as usize]
     }
 
-    /// Restores every field from `snap`, reusing allocations where
-    /// possible (see [`Memory::restore_from`]).
-    fn restore_fields(&mut self, snap: &FlatEmulator, keep_clock: bool) {
+    /// Restores every field from `snap` in place (see
+    /// [`Memory::restore_from`]); the program image is a shared pointer
+    /// copy.
+    fn restore_fields(&mut self, snap: &FlatEmulator) {
         self.lat.clone_from(&snap.lat);
         self.regs = snap.regs;
         self.mem.restore_from(&snap.mem);
         self.program.clone_from(&snap.program);
-        self.code.clone_from(&snap.code);
+        self.code.restore_from(&snap.code, false);
         self.tx.clone_from(&snap.tx);
         self.step_limit = snap.step_limit;
         self.alias_stride = snap.alias_stride;
-        if !keep_clock {
-            self.cycles = snap.cycles;
-        }
+        self.cycles = snap.cycles;
     }
 
     fn operand(&self, op: Operand) -> u64 {
@@ -397,14 +396,7 @@ impl Substrate for FlatEmulator {
         let f = snap
             .downcast_ref::<FlatEmulator>()
             .expect("snapshot was taken from the flat-emulator backend");
-        self.restore_fields(f, false);
-    }
-
-    fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot) {
-        let f = snap
-            .downcast_ref::<FlatEmulator>()
-            .expect("snapshot was taken from the flat-emulator backend");
-        self.restore_fields(f, true);
+        self.restore_fields(f);
     }
 
     fn reseed(&mut self, _seed: u64) {

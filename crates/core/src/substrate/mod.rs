@@ -27,15 +27,15 @@ use std::any::Any;
 use std::fmt;
 
 use uwm_sim::isa::{Program, Reg};
-use uwm_sim::machine::{Machine, RunOutcome};
+use uwm_sim::machine::{Machine, MachineSnapshot, RunOutcome};
 use uwm_sim::timing::LatencyConfig;
 
 /// An opaque capture of a backend's complete state, produced by
 /// [`Substrate::snapshot`] and consumed by [`Substrate::restore`].
 ///
-/// The capture is backend-specific (a boxed deep copy of the concrete
-/// type), which keeps the trait object-safe: batch runners and the
-/// redundancy voter hold `&mut dyn Substrate` and still snapshot/restore.
+/// The capture is backend-specific (a boxed [`MachineSnapshot`], or a
+/// boxed copy of the [`FlatEmulator`]), which keeps the trait object-safe:
+/// batch runners hold `&mut dyn Substrate` and still snapshot/restore.
 /// Restoring a snapshot into a *different* backend type panics — snapshots
 /// are not a serialization format.
 pub struct SubstrateSnapshot(Box<dyn Any + Send>);
@@ -130,21 +130,15 @@ pub trait Substrate {
     /// `restore + reseed(s) + work` produces the same observables as a
     /// fresh backend built the same way and reseeded with `s`.
     ///
+    /// The *cost* is not that of a full copy. On `Machine` the program
+    /// image is shared, state is copied in place, and a backend restored
+    /// from the same snapshot as last time copies back only the cache sets
+    /// dirtied since (see [`Machine::restore_from`] for the lineage rule).
+    ///
     /// # Panics
     ///
     /// Panics if `snap` came from a different backend type.
     fn restore(&mut self, snap: &SubstrateSnapshot);
-
-    /// Restores machine state (registers, memory, caches, predictors,
-    /// code) but keeps the clock monotonic, the noise stream advancing,
-    /// and statistics/trace accumulating — rewinding *state* without
-    /// rewinding *time*. Used by the redundancy voter to rerun a prepared
-    /// gate under fresh noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a different backend type.
-    fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot);
 
     /// Restarts the backend's randomness from `seed`, as if it had been
     /// constructed with that seed. Deterministic backends (the flat
@@ -218,21 +212,14 @@ impl Substrate for Machine {
     }
 
     fn snapshot(&self) -> SubstrateSnapshot {
-        SubstrateSnapshot(Machine::snapshot(self))
+        SubstrateSnapshot(Box::new(Machine::snapshot(self)))
     }
 
     fn restore(&mut self, snap: &SubstrateSnapshot) {
         let m = snap
-            .downcast_ref::<Machine>()
+            .downcast_ref::<MachineSnapshot>()
             .expect("snapshot was taken from the uwm-sim backend");
         self.restore_from(m);
-    }
-
-    fn restore_keeping_clock(&mut self, snap: &SubstrateSnapshot) {
-        let m = snap
-            .downcast_ref::<Machine>()
-            .expect("snapshot was taken from the uwm-sim backend");
-        self.restore_from_keeping_clock(m);
     }
 
     fn reseed(&mut self, seed: u64) {

@@ -38,7 +38,7 @@ pub enum PredictorKind {
 /// for _ in 0..4 { bp.update(pc, false); }
 /// assert!(!bp.predict(pc));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectionPredictor {
     kind: PredictorKind,
     table: Vec<u8>,
@@ -123,6 +123,13 @@ impl DirectionPredictor {
         self.table.fill(1);
         self.history = 0;
     }
+
+    /// Rewinds to `snap`'s counters and history, reusing the table.
+    pub(crate) fn restore_from(&mut self, snap: &DirectionPredictor) {
+        self.kind = snap.kind;
+        self.table.clone_from(&snap.table);
+        self.history = snap.history;
+    }
 }
 
 /// A direct-mapped branch target buffer.
@@ -140,7 +147,7 @@ impl DirectionPredictor {
 /// btb.update(0x100, 0x900);
 /// assert_eq!(btb.lookup(0x100), Some(0x900));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     /// `(tag, target)` per entry.
     entries: Vec<Option<(u64, u64)>>,
@@ -183,6 +190,11 @@ impl Btb {
     /// Drops every entry.
     pub fn reset(&mut self) {
         self.entries.fill(None);
+    }
+
+    /// Rewinds to `snap`'s entries, reusing the table.
+    pub(crate) fn restore_from(&mut self, snap: &Btb) {
+        self.entries.clone_from(&snap.entries);
     }
 }
 

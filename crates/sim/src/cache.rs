@@ -93,7 +93,23 @@ pub struct Cache {
     repl: Vec<SetState>,
     hits: u64,
     misses: u64,
+    /// One bit per set, set by every access, fill, invalidate and flush
+    /// that may change the set's tags or replacement state. Bookkeeping
+    /// for [`Cache::restore_from`], not cache state: equality ignores it.
+    dirty: Box<[u64]>,
 }
+
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        self.cfg == other.cfg
+            && self.hits == other.hits
+            && self.misses == other.misses
+            && self.tags == other.tags
+            && self.repl == other.repl
+    }
+}
+
+impl Eq for Cache {}
 
 /// Sentinel for an empty way. Unreachable as a real line index: line
 /// indices are byte addresses shifted right by [`LINE_SHIFT`].
@@ -126,6 +142,7 @@ impl Cache {
                     )
                 })
                 .collect(),
+            dirty: vec![0; cfg.sets.div_ceil(64)].into_boxed_slice(),
             cfg,
             hits: 0,
             misses: 0,
@@ -149,6 +166,11 @@ impl Cache {
         base..base + self.cfg.ways
     }
 
+    #[inline]
+    fn mark_dirty(&mut self, set: usize) {
+        self.dirty[set / 64] |= 1 << (set % 64);
+    }
+
     /// Accesses the line containing `addr`: returns `true` on hit. On miss
     /// the line is filled, possibly evicting a victim (returned by
     /// [`Cache::access_evicting`]). Updates replacement and hit statistics.
@@ -163,6 +185,7 @@ impl Cache {
         let ways = &self.tags[self.set_range(line)];
         if let Some(way) = ways.iter().position(|&t| t == line) {
             self.repl[set].touch(way, self.cfg.ways);
+            self.mark_dirty(set);
             self.hits += 1;
             return (true, None);
         }
@@ -179,6 +202,7 @@ impl Cache {
         let ways = &self.tags[self.set_range(line)];
         if let Some(way) = ways.iter().position(|&t| t == line) {
             self.repl[set].touch(way, self.cfg.ways);
+            self.mark_dirty(set);
             return None;
         }
         self.fill_line(line)
@@ -199,6 +223,7 @@ impl Cache {
         };
         self.tags[range.start + way] = line;
         self.repl[set].touch(way, self.cfg.ways);
+        self.mark_dirty(set);
         evicted
     }
 
@@ -213,16 +238,61 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) {
         let line = line_of(addr);
         let range = self.set_range(line);
-        for t in &mut self.tags[range] {
-            if *t == line {
-                *t = INVALID_TAG;
-            }
+        if let Some(way) = self.tags[range.clone()].iter().position(|&t| t == line) {
+            self.tags[range.start + way] = INVALID_TAG;
+            self.mark_dirty(self.set_of(line));
         }
     }
 
     /// Empties the cache entirely.
     pub fn flush_all(&mut self) {
         self.tags.fill(INVALID_TAG);
+        self.dirty.fill(u64::MAX);
+        if self.cfg.sets < 64 {
+            // One partial word: no marks past the last set.
+            self.dirty[0] = (1 << self.cfg.sets) - 1;
+        }
+    }
+
+    /// Rewinds this cache to `snap`'s tags, replacement state and
+    /// statistics, in place.
+    ///
+    /// With `dirty_only` the caller vouches that every set not marked
+    /// dirty already equals `snap`'s — true when this cache was last made
+    /// equal to `snap` and has been marked on every change since — so
+    /// only the dirty sets are copied. Otherwise every set is copied.
+    /// Either way the dirty marks are cleared, as the cache now equals
+    /// `snap`.
+    pub(crate) fn restore_from(&mut self, snap: &Cache, dirty_only: bool) {
+        self.hits = snap.hits;
+        self.misses = snap.misses;
+        if self.cfg != snap.cfg {
+            *self = snap.clone();
+            self.dirty.fill(0);
+            return;
+        }
+        if !dirty_only {
+            self.tags.copy_from_slice(&snap.tags);
+            self.repl.copy_from_slice(&snap.repl);
+            self.dirty.fill(0);
+            return;
+        }
+        let ways = self.cfg.ways;
+        for (word_idx, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let set = word_idx * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let range = set * ways..(set + 1) * ways;
+                self.tags[range.clone()].copy_from_slice(&snap.tags[range]);
+                self.repl[set] = snap.repl[set];
+            }
+        }
+    }
+
+    /// Number of sets marked dirty since the last restore.
+    pub fn dirty_sets(&self) -> usize {
+        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `(hits, misses)` counted by [`Cache::access`].
@@ -321,6 +391,37 @@ mod tests {
         }
         let (_, evicted) = c.access_evicting(4 * 64);
         assert_eq!(evicted, Some(0), "probe must not have touched LRU state");
+    }
+
+    #[test]
+    fn dirty_restore_undoes_each_kind_of_change() {
+        let mut snap = tiny();
+        snap.access(0);
+        snap.access(64);
+        snap.access(2 * 64);
+        let changes: [fn(&mut Cache); 5] = [
+            |c| {
+                c.access(0);
+            },
+            |c| {
+                c.fill(64);
+            },
+            |c| {
+                c.fill(4 * 64);
+            },
+            |c| c.invalidate(2 * 64),
+            |c| c.flush_all(),
+        ];
+        for (i, change) in changes.iter().enumerate() {
+            let mut c = tiny();
+            c.restore_from(&snap, false);
+            assert!(c == snap && c.dirty_sets() == 0);
+            change(&mut c);
+            assert!(c.dirty_sets() > 0, "change {i} marked no set");
+            c.restore_from(&snap, true);
+            assert!(c == snap, "change {i} not undone");
+            assert_eq!(c.dirty_sets(), 0);
+        }
     }
 
     #[test]

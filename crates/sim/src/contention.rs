@@ -15,7 +15,7 @@
 /// assert!(c.mul_delay(10) > 0);  // read soon after: queuing delay visible
 /// assert_eq!(c.mul_delay(10_000), 0); // the value decayed away
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Contention {
     /// Cycle until which the multiplier pipeline is backed up.
     mul_busy_until: u64,

@@ -64,7 +64,7 @@ impl Default for HierarchyConfig {
 /// h.flush(0x1000);
 /// assert_eq!(h.access_data(0x1000), HitLevel::Mem);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     l1i: Cache,
     l1d: Cache,
@@ -174,6 +174,24 @@ impl Hierarchy {
     /// based attacks/tests that work on line granularity).
     pub fn evict_line(&mut self, line: u64) {
         self.flush(line << crate::cache::LINE_SHIFT);
+    }
+
+    /// Rewinds every level to `snap`'s state in place; `dirty_only` as in
+    /// [`Cache::restore_from`].
+    pub(crate) fn restore_from(&mut self, snap: &Hierarchy, dirty_only: bool) {
+        self.l1i.restore_from(&snap.l1i, dirty_only);
+        self.l1d.restore_from(&snap.l1d, dirty_only);
+        self.l2.restore_from(&snap.l2, dirty_only);
+        self.l3.restore_from(&snap.l3, dirty_only);
+    }
+
+    /// Cache sets marked dirty since the last restore, summed over the
+    /// four levels.
+    pub fn dirty_sets(&self) -> usize {
+        [&self.l1i, &self.l1d, &self.l2, &self.l3]
+            .iter()
+            .map(|c| c.dirty_sets())
+            .sum()
     }
 
     /// Aggregate `(hits, misses)` across L1D accesses.

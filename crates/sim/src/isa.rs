@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Size of every instruction in bytes.
 pub const INST_SIZE: u64 = 8;
@@ -442,9 +443,14 @@ impl Inst {
 ///
 /// Programs are usually built with an [`Assembler`]; `wm_apt` additionally
 /// decodes instructions straight out of simulated memory at run time.
-#[derive(Debug, Clone, Default)]
+///
+/// The instruction map is copy-on-write behind an [`Arc`]: cloning a
+/// program (a machine snapshot, a restore, a pooled shard binding one
+/// compiled image) is a pointer copy, and only a mutation of a shared
+/// program copies the map.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
-    insts: BTreeMap<u64, Inst>,
+    insts: Arc<BTreeMap<u64, Inst>>,
 }
 
 impl Program {
@@ -469,19 +475,32 @@ impl Program {
             0,
             "instructions must be {INST_SIZE}-byte aligned"
         );
-        self.insts.insert(pc, inst);
+        Arc::make_mut(&mut self.insts).insert(pc, inst);
     }
 
     /// Merges another program's instructions into this one. Later
     /// definitions win on address clashes.
     pub fn merge(&mut self, other: Program) {
-        self.insts.extend(other.insts);
+        self.merge_from(&other);
     }
 
-    /// Merges `other`'s instructions from a shared reference — no
-    /// intermediate [`Program`] clone (the `Arc`-shared unit install path).
+    /// Merges `other`'s instructions from a shared reference. Merging
+    /// into an empty program shares `other`'s map instead of copying it.
     pub fn merge_from(&mut self, other: &Program) {
-        self.insts.extend(other.iter());
+        if other.is_empty() {
+            return;
+        }
+        if self.insts.is_empty() {
+            self.insts = Arc::clone(&other.insts);
+        } else {
+            Arc::make_mut(&mut self.insts).extend(other.iter());
+        }
+    }
+
+    /// True when both programs share one instruction map (no copy has
+    /// been made since one was cloned from the other).
+    pub fn shares_image(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.insts, &other.insts)
     }
 
     /// Number of instructions.

@@ -59,7 +59,8 @@ pub mod prelude {
     pub use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
     pub use crate::isa::{AluOp, Assembler, Inst, Operand, Program, Reg, INST_SIZE};
     pub use crate::machine::{
-        ExecutionModel, FaultCause, Machine, MachineConfig, MachineStats, RunOutcome,
+        ExecutionModel, FaultCause, Machine, MachineConfig, MachineSnapshot, MachineStats,
+        RunOutcome,
     };
     pub use crate::memory::Memory;
     pub use crate::predecode::CodeCache;

@@ -12,6 +12,8 @@
 //!   emulation-detection use case (§2.1).
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::branch::{Btb, DirectionPredictor, PredictorKind};
 use crate::contention::Contention;
@@ -38,7 +40,7 @@ pub enum ExecutionModel {
 }
 
 /// Machine construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Operation latencies.
     pub latency: LatencyConfig,
@@ -143,7 +145,7 @@ pub struct MachineStats {
 }
 
 /// State saved while a transaction is open.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct TxState {
     handler: u64,
     saved_regs: [u64; NUM_REGS],
@@ -244,7 +246,88 @@ pub struct Machine {
     step_limit: u64,
     spec_scratch: SpecScratch,
     undo_pool: Vec<(u64, u64)>,
+    /// Id of the [`MachineSnapshot`] this machine was last restored from:
+    /// its caches and predecode pages equal that snapshot's except where
+    /// marked dirty since (0 = none). See [`Machine::restore_from`].
+    synced: u64,
 }
+
+/// Architectural and microarchitectural state, compared field by field.
+/// Host-side scratch (speculation buffers, the undo-log pool) and restore
+/// bookkeeping (dirty marks, the synced snapshot id) are not state.
+impl PartialEq for Machine {
+    fn eq(&self, other: &Self) -> bool {
+        let Machine {
+            cfg,
+            regs,
+            mem,
+            hier,
+            bp,
+            btb,
+            contention,
+            noise,
+            tracer,
+            program,
+            code,
+            cycles,
+            tx,
+            stats,
+            step_limit,
+            spec_scratch: _,
+            undo_pool: _,
+            synced: _,
+        } = self;
+        *cfg == other.cfg
+            && *regs == other.regs
+            && *cycles == other.cycles
+            && *stats == other.stats
+            && *step_limit == other.step_limit
+            && *tx == other.tx
+            && *contention == other.contention
+            && *noise == other.noise
+            && *bp == other.bp
+            && *btb == other.btb
+            && *tracer == other.tracer
+            && *program == other.program
+            && *code == other.code
+            && *mem == other.mem
+            && *hier == other.hier
+    }
+}
+
+/// An immutable capture of a [`Machine`], taken by [`Machine::snapshot`].
+///
+/// Each snapshot carries a process-unique id, and nothing can mutate it
+/// after capture. That is what makes dirty-set restores sound: a machine
+/// restored from a snapshot remembers its id, and the next restore from
+/// the *same* id needs to copy back only the cache sets marked dirty in
+/// between. The snapshot dereferences to the captured machine for
+/// read-only inspection.
+#[derive(Debug)]
+pub struct MachineSnapshot {
+    id: u64,
+    machine: Machine,
+}
+
+impl MachineSnapshot {
+    /// The snapshot's process-unique id (never 0).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+impl Deref for MachineSnapshot {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        &self.machine
+    }
+}
+
+/// Source of [`MachineSnapshot`] ids; 0 is reserved for "never restored".
+/// `Relaxed` suffices: the counter publishes no other data, and
+/// `fetch_add` alone makes every id distinct.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Machine {
     /// Creates a machine with the given configuration and noise seed.
@@ -266,6 +349,7 @@ impl Machine {
             step_limit: 10_000_000,
             spec_scratch: SpecScratch::default(),
             undo_pool: Vec::new(),
+            synced: 0,
             cfg,
         }
     }
@@ -461,50 +545,47 @@ impl Machine {
     /// predecode cache, in-flight transaction), plus the clock, noise RNG,
     /// statistics and tracer. A machine restored from the snapshot
     /// reproduces every subsequent observable bit for bit.
-    pub fn snapshot(&self) -> Box<Machine> {
-        Box::new(self.clone())
+    ///
+    /// The program image is shared with the machine, not copied.
+    pub fn snapshot(&self) -> MachineSnapshot {
+        MachineSnapshot {
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
+            machine: self.clone(),
+        }
     }
 
-    /// Restores every field from `snap`, reusing existing allocations
-    /// where possible so repeated restores in a batch loop cost memcpy,
-    /// not malloc.
-    pub fn restore_from(&mut self, snap: &Machine) {
-        self.cfg = snap.cfg.clone();
-        self.regs = snap.regs;
-        self.mem.restore_from(&snap.mem);
-        self.hier.clone_from(&snap.hier);
-        self.bp.clone_from(&snap.bp);
-        self.btb.clone_from(&snap.btb);
-        self.contention = snap.contention.clone();
-        self.noise = snap.noise.clone();
-        self.tracer.clone_from(&snap.tracer);
-        self.program.clone_from(&snap.program);
-        self.code.clone_from(&snap.code);
-        self.cycles = snap.cycles;
-        self.tx.clone_from(&snap.tx);
-        self.stats = snap.stats;
-        self.step_limit = snap.step_limit;
-        self.spec_scratch.clone_from(&snap.spec_scratch);
-        self.undo_pool.clone_from(&snap.undo_pool);
-    }
-
-    /// Like [`Machine::restore_from`], but preserves the monotonic clock,
-    /// the noise RNG stream, accumulated statistics and the tracer —
-    /// rewinding *state* without rewinding *time*. This is the redundancy
-    /// voter's per-trial reset: every sample restarts from identical
-    /// machine state while the noise draws keep advancing.
-    pub fn restore_from_keeping_clock(&mut self, snap: &Machine) {
-        self.regs = snap.regs;
-        self.mem.restore_from(&snap.mem);
-        self.hier.clone_from(&snap.hier);
-        self.bp.clone_from(&snap.bp);
-        self.btb.clone_from(&snap.btb);
-        self.contention = snap.contention.clone();
-        self.program.clone_from(&snap.program);
-        self.code.clone_from(&snap.code);
-        self.tx.clone_from(&snap.tx);
-        self.spec_scratch.clone_from(&snap.spec_scratch);
-        self.undo_pool.clone_from(&snap.undo_pool);
+    /// Restores every piece of state captured in `snap`, in place.
+    ///
+    /// The cost follows what changed since the machine last matched
+    /// `snap`, not the size of the machine:
+    ///
+    /// * the program image is a shared pointer copy;
+    /// * if this machine was last restored from this same snapshot, only
+    ///   the cache sets marked dirty since are copied back, and the
+    ///   predecode pages only if a slot changed. Otherwise (the lineage
+    ///   fallback: a first restore, or a different snapshot) every cache
+    ///   set and page is copied, in place;
+    /// * memory pages, predictors, the BTB and the small scalar state are
+    ///   copied in place.
+    pub fn restore_from(&mut self, snap: &MachineSnapshot) {
+        let dirty_only = self.synced == snap.id;
+        let src = &snap.machine;
+        self.cfg.clone_from(&src.cfg);
+        self.regs = src.regs;
+        self.mem.restore_from(&src.mem);
+        self.hier.restore_from(&src.hier, dirty_only);
+        self.bp.restore_from(&src.bp);
+        self.btb.restore_from(&src.btb);
+        self.contention = src.contention.clone();
+        self.noise = src.noise.clone();
+        self.tracer.clone_from(&src.tracer);
+        self.program.clone_from(&src.program);
+        self.code.restore_from(&src.code, dirty_only);
+        self.cycles = src.cycles;
+        self.tx.clone_from(&src.tx);
+        self.stats = src.stats;
+        self.step_limit = src.step_limit;
+        self.synced = snap.id;
     }
 
     /// Restarts the noise RNG stream from `seed`, keeping the noise

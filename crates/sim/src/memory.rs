@@ -16,7 +16,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// m.write_u64(0x1000, 42);
 /// assert_eq!(m.read_u64(0x1000), 42);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     pages: IntMap<u64, Box<[u8; PAGE_SIZE]>>,
 }

@@ -46,7 +46,7 @@ enum Slot {
 }
 
 /// A page of predecoded slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Page {
     slots: Box<[Slot; SLOTS_PER_PAGE]>,
 }
@@ -89,7 +89,23 @@ pub struct CodeCache {
     /// static program — the common case), write invalidation and external
     /// syncs are free no-ops, so pure data stores never pay a page probe.
     dynamic_slots: usize,
+    /// Some slot or the page set changed since the last
+    /// [`CodeCache::restore_from`]. Bookkeeping, not cache state: equality
+    /// ignores it.
+    modified: bool,
 }
+
+impl PartialEq for CodeCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages == other.pages
+            && self.index == other.index
+            && self.last == other.last
+            && self.external_dirty == other.external_dirty
+            && self.dynamic_slots == other.dynamic_slots
+    }
+}
+
+impl Eq for CodeCache {}
 
 impl CodeCache {
     /// An empty cache.
@@ -100,6 +116,7 @@ impl CodeCache {
     /// Drops everything and predecodes `program` into static slots.
     /// Unaligned program addresses are left to the slow path.
     pub fn rebuild(&mut self, program: &Program) {
+        self.modified = true;
         self.pages.clear();
         self.index.clear();
         self.last = None;
@@ -169,6 +186,7 @@ impl CodeCache {
                 if matches!(slot, Slot::Dynamic(_)) {
                     *slot = Slot::Empty;
                     self.dynamic_slots -= 1;
+                    self.modified = true;
                 }
             }
             slot_addr += INST_SIZE;
@@ -194,6 +212,7 @@ impl CodeCache {
             return;
         }
         self.dynamic_slots = 0;
+        self.modified = true;
         for page in &mut self.pages {
             for slot in page.slots.iter_mut() {
                 if matches!(slot, Slot::Dynamic(_)) {
@@ -201,6 +220,28 @@ impl CodeCache {
                 }
             }
         }
+    }
+
+    /// Rewinds this cache to `snap`'s slots in place, reusing page
+    /// allocations.
+    ///
+    /// With `dirty_only` the caller vouches that this cache was last made
+    /// equal to `snap`, so when no slot has changed since, the pages are
+    /// not copied at all.
+    pub fn restore_from(&mut self, snap: &CodeCache, dirty_only: bool) {
+        if self.modified || !dirty_only {
+            self.pages.truncate(snap.pages.len());
+            for (dst, src) in self.pages.iter_mut().zip(&snap.pages) {
+                *dst.slots = *src.slots;
+            }
+            let have = self.pages.len();
+            self.pages.extend_from_slice(&snap.pages[have..]);
+            self.index.clone_from(&snap.index);
+        }
+        self.last = snap.last;
+        self.external_dirty = snap.external_dirty;
+        self.dynamic_slots = snap.dynamic_slots;
+        self.modified = false;
     }
 
     #[inline]
@@ -219,6 +260,7 @@ impl CodeCache {
     }
 
     fn slot_mut(&mut self, pc: u64) -> &mut Slot {
+        self.modified = true;
         let page_no = pc / PAGE_SIZE;
         let idx = match self.page_of(page_no) {
             Some(idx) => idx,

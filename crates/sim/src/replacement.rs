@@ -22,8 +22,9 @@ pub enum Policy {
 /// is a flat array with no per-set heap allocation — the LRU recency
 /// list is nibble-coded (way index at recency position `i` lives in bits
 /// `4i..4i+4`, position 0 = MRU), which caps true LRU at 16 ways; the
-/// largest modelled cache (L3) is exactly 16-way.
-#[derive(Debug, Clone)]
+/// largest modelled cache (L3) is exactly 16-way. Being `Copy`, a set's
+/// state is restored by plain assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SetState {
     /// Nibble `i` of `order` is the way at recency position `i` (0 = MRU).
     Lru { order: u64 },

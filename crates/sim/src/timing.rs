@@ -203,7 +203,7 @@ impl NoiseConfig {
 ///
 /// All randomness in the simulator flows through this type so that a machine
 /// constructed with [`crate::Machine::with_seed`] replays identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseGen {
     cfg: NoiseConfig,
     rng: StdRng,

@@ -62,7 +62,7 @@ pub enum ArchEvent {
 /// t.record(ArchEvent::TxCommit);
 /// assert_eq!(t.events().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tracer {
     events: Vec<ArchEvent>,
     /// Events staged inside an open transaction (invisible until commit).
