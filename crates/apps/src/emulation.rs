@@ -149,14 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_model_detected_as_emulator() {
-        assert_eq!(
-            probe_config(MachineConfig::flat(), 0).unwrap(),
-            Platform::Emulated
-        );
-    }
-
-    #[test]
     fn flat_substrate_detected_as_emulator() {
         let mut flat = FlatEmulator::new();
         let mut lay = Layout::new(flat.alias_stride());

@@ -5,7 +5,7 @@
 //! * [`sha1`] — SHA-1 computed on weird gates (§5.2): every boolean
 //!   combination of bits runs through the branch-predictor gate family
 //!   with median-and-vote redundancy; verified against
-//!   [`uwm_crypto::sha1`].
+//!   [`uwm_crypto::sha1()`].
 //! * [`wm_apt`] — the weird-obfuscation trigger system (§5.1): a payload
 //!   hidden behind a one-time-pad whose decode runs on TSX XOR circuits;
 //!   wrong triggers fault harmlessly inside a transaction. The payloads
@@ -15,7 +15,8 @@
 //! * [`covert`] — a DC-WR covert channel between two parties sharing the
 //!   machine (§3.1's channel framing of weird registers).
 //! * [`emulation`] — μWM as an emulation detector (§2.1): the same
-//!   computation degenerates on a flat "emulator" machine model.
+//!   computation degenerates on the flat architectural emulator
+//!   ([`uwm_core::substrate::FlatEmulator`]).
 //! * [`sharif`] — Sharif-style conditional code obfuscation whose guard
 //!   hash runs on the weird machine (the second obfuscation scheme §5.2
 //!   derives from the μWM SHA-1).

@@ -18,11 +18,12 @@
 
 use uwm_core::exec::{batch_seed, ShardedExecutor};
 use uwm_core::skelly::{Skelly, SkellySpec};
+use uwm_core::substrate::Substrate;
 use uwm_core::Result;
 use uwm_crypto::sha1::{Sha1, H0, K};
-use uwm_sim::machine::{MachineConfig, MachineSnapshot};
+use uwm_sim::machine::{Machine, MachineConfig, MachineSnapshot};
 
-/// SHA-1 evaluator running on a [`Skelly`] weird machine.
+/// SHA-1 evaluator running on a [`Skelly`] weird machine (on any backend).
 ///
 /// # Examples
 ///
@@ -36,13 +37,13 @@ use uwm_sim::machine::{MachineConfig, MachineSnapshot};
 /// assert_eq!(digest, sha1(b"abc"));
 /// ```
 #[derive(Debug)]
-pub struct UwmSha1<'a> {
-    sk: &'a mut Skelly,
+pub struct UwmSha1<'a, S: Substrate = Machine> {
+    sk: &'a mut Skelly<S>,
 }
 
-impl<'a> UwmSha1<'a> {
+impl<'a, S: Substrate> UwmSha1<'a, S> {
     /// Wraps a weird machine for hashing.
-    pub fn new(sk: &'a mut Skelly) -> Self {
+    pub fn new(sk: &'a mut Skelly<S>) -> Self {
         Self { sk }
     }
 

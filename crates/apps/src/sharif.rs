@@ -13,6 +13,7 @@
 
 use uwm_core::error::Result;
 use uwm_core::skelly::Skelly;
+use uwm_core::substrate::Substrate;
 use uwm_crypto::{sha1, Aes128};
 
 use crate::sha1::UwmSha1;
@@ -83,7 +84,11 @@ impl SharifGuard {
     /// # Errors
     ///
     /// Currently infallible; reserved for gate-construction failures.
-    pub fn try_unlock(&self, sk: &mut Skelly, candidate: &[u8]) -> Result<Option<Vec<u8>>> {
+    pub fn try_unlock<S: Substrate>(
+        &self,
+        sk: &mut Skelly<S>,
+        candidate: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
         let digest = UwmSha1::new(sk).hash(candidate);
         if digest != self.stored_hash {
             return Ok(None);
@@ -97,8 +102,8 @@ impl SharifGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uwm_core::skelly::Redundancy;
-    use uwm_sim::machine::MachineConfig;
+    use uwm_core::skelly::{Redundancy, SkellySpec};
+    use uwm_core::substrate::FlatEmulator;
 
     #[test]
     fn correct_trigger_unlocks() {
@@ -134,7 +139,7 @@ mod tests {
     #[test]
     fn correct_trigger_fails_under_emulation() {
         let guard = SharifGuard::protect(b"xyzzy", b"hidden");
-        let mut sk = Skelly::new(MachineConfig::flat(), 0).unwrap();
+        let mut sk = SkellySpec::new().unwrap().bind(FlatEmulator::new());
         assert!(guard.try_unlock(&mut sk, b"xyzzy").unwrap().is_none());
     }
 

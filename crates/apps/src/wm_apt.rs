@@ -232,7 +232,7 @@ impl WmApt {
         });
         a.label("handler")?;
         a.push(Inst::Halt);
-        m.add_program(a.finish()?);
+        m.add_program(&a.finish()?);
         m.warm_code_range(caller_pc, caller_pc + 4 * INST_SIZE);
 
         // --- arm the region: trap + encrypted payload; header slot holds

@@ -407,7 +407,7 @@ impl CircuitSpec {
         let mut program = Program::new();
         let mut warm = Vec::new();
         for u in &self.units {
-            program.merge_from(&u.program);
+            program.merge(&u.program);
             if let Some(range) = u.warm {
                 warm.push(range);
             }
@@ -442,7 +442,7 @@ impl CircuitSpec {
     /// batch engine's speedup measurements.
     pub fn instantiate_per_unit<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
         for u in &self.units {
-            s.install_program(Program::clone(&u.program));
+            s.install_program(&u.program);
             if let Some((base, end)) = u.warm {
                 s.warm_code_range(base, end);
             }
@@ -530,7 +530,7 @@ impl CircuitPlan {
     /// by probing the first output wire. A circuit with no outputs falls
     /// back to the default [`READ_THRESHOLD`].
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
-        s.install_shared(&self.program);
+        s.install_program(&self.program);
         for &(base, end) in &self.warm {
             s.warm_code_range(base, end);
         }

@@ -18,9 +18,8 @@
 //!
 //! Like the TSX family, each gate is described machine-free by
 //! `spec(&mut layout)` and bound to a backend with
-//! [`GateSpec::instantiate`]; `build` composes the two. BP gate code is
-//! deliberately **not** warmed at instantiation — body-line residency *is*
-//! one of the gate's inputs.
+//! [`GateSpec::instantiate`]. BP gate code is deliberately **not** warmed
+//! at instantiation — body-line residency *is* one of the gate's inputs.
 
 use std::sync::Arc;
 
@@ -211,7 +210,7 @@ fn emit_double_block(
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
-/// let gate = BpAnd::build(&mut m, &mut lay).unwrap();
+/// let gate = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
 /// assert!(gate.execute(&mut m, true, true));
 /// assert!(!gate.execute(&mut m, true, false));
 /// ```
@@ -243,15 +242,6 @@ impl BpAnd {
             Self { block, out },
             vec![gate_unit, train_unit],
         ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
     }
 
     /// Executes the gate with explicit inputs; returns the output bit.
@@ -323,15 +313,6 @@ impl BpNand {
             Self { block, out },
             vec![gate_unit, train_unit],
         ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
     }
 
     /// Executes the gate with explicit inputs; returns the output bit.
@@ -407,15 +388,6 @@ impl BpOr {
             },
             vec![gate_unit, train1, train2],
         ))
-    }
-
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
     }
 
     /// Executes the gate with explicit inputs; returns the output bit.
@@ -496,15 +468,6 @@ impl BpAndAndOr {
         ))
     }
 
-    /// Assembles and instantiates the gate in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
     /// Executes `(a & b) | (c & d)`.
     pub fn execute<S: Substrate + ?Sized>(
         &self,
@@ -572,35 +535,35 @@ mod tests {
     #[test]
     fn and_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn or_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = BpOr::build(&mut m, &mut lay).unwrap();
+        let g = BpOr::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn nand_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = BpNand::build(&mut m, &mut lay).unwrap();
+        let g = BpNand::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn and_and_or_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = BpAndAndOr::build(&mut m, &mut lay).unwrap();
+        let g = BpAndAndOr::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn gates_are_reusable_and_stable() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         for i in 0..50 {
             let a = i % 2 == 0;
             let b = i % 3 == 0;
@@ -611,8 +574,8 @@ mod tests {
     #[test]
     fn two_gate_instances_do_not_interfere() {
         let (mut m, mut lay) = setup();
-        let g1 = BpAnd::build(&mut m, &mut lay).unwrap();
-        let g2 = BpOr::build(&mut m, &mut lay).unwrap();
+        let g1 = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
+        let g2 = BpOr::spec(&mut lay).unwrap().instantiate(&mut m);
         assert!(g1.execute(&mut m, true, true));
         assert!(!g2.execute(&mut m, false, false));
         assert!(!g1.execute(&mut m, false, true));
@@ -635,7 +598,7 @@ mod tests {
     #[test]
     fn reading_reports_bimodal_delays() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         let one = g.execute_reading(&mut m, true, true);
         let zero = g.execute_reading(&mut m, true, false);
         assert!(one.bit && !zero.bit);
@@ -645,7 +608,7 @@ mod tests {
     #[test]
     fn arity_is_validated() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         assert!(matches!(
             g.execute_timed(&mut m, &[true]),
             Err(crate::error::CoreError::Arity {
@@ -662,7 +625,7 @@ mod tests {
     #[test]
     fn activation_trace_is_input_independent() {
         let (mut m, mut lay) = setup();
-        let g = BpAnd::build(&mut m, &mut lay).unwrap();
+        let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         let mut fingerprints = Vec::new();
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             g.block.set_ic(&mut m, a);

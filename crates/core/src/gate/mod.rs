@@ -22,7 +22,9 @@
 //!    templates. Build one with `Gate::spec(&mut lay)`.
 //! 2. An **instance** is the gate bound to a backend:
 //!    `spec.instantiate(&mut substrate)` installs and warms the programs on
-//!    any [`Substrate`] and returns the runnable gate value.
+//!    any [`Substrate`] and returns the runnable gate value. This is the
+//!    only gate constructor: `Gate::spec(&mut lay)?.instantiate(&mut s)`
+//!    builds and binds in one expression.
 //!
 //! The same spec can be instantiated on any number of backends (the
 //! emulation detector does exactly this) or on every shard of a
@@ -102,7 +104,7 @@ impl<G: Copy> GateSpec<G> {
     /// returns the runnable gate.
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> G {
         for u in &self.units {
-            s.install_shared(&u.program);
+            s.install_program(&u.program);
             if let Some((base, end)) = u.warm {
                 s.warm_code_range(base, end);
             }

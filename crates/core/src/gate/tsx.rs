@@ -18,9 +18,9 @@
 //! abort handler.
 //!
 //! Every gate follows the spec/instance split: `spec`/`spec_wired` produce
-//! a machine-independent [`GateSpec`] from a [`Layout`] alone;
-//! `build`/`build_wired` are convenience wrappers that immediately
-//! instantiate the spec on a [`Substrate`].
+//! a machine-independent [`GateSpec`] from a [`Layout`] alone, and
+//! [`GateSpec::instantiate`] binds it to a [`Substrate`]. That is the only
+//! way to construct a runnable gate.
 
 use std::sync::Arc;
 
@@ -118,7 +118,7 @@ fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
-/// let gate = TsxAssign::build(&mut m, &mut lay).unwrap();
+/// let gate = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
 /// assert!(gate.execute(&mut m, true));
 /// assert!(!gate.execute(&mut m, false));
 /// ```
@@ -155,29 +155,6 @@ impl TsxAssign {
             emit_deref(a, R_A, R_T0, out);
         })?;
         Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        input: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, input, out)?.instantiate(s))
     }
 
     /// Input register address.
@@ -294,30 +271,6 @@ impl TsxAnd {
             },
             vec![unit],
         ))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
     }
 
     /// First input register address.
@@ -440,30 +393,6 @@ impl TsxOr {
             },
             vec![unit],
         ))
-    }
-
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
     }
 
     /// First input register address.
@@ -605,31 +534,6 @@ impl TsxAndOr {
         ))
     }
 
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out_and: u64,
-        out_or: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out_and, out_or)?.instantiate(s))
-    }
-
     /// First input register address.
     pub fn in_a(&self) -> u64 {
         self.in_a
@@ -755,29 +659,6 @@ impl TsxNot {
         Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
     }
 
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        input: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, input, out)?.instantiate(s))
-    }
-
     /// Input register address.
     pub fn input(&self) -> u64 {
         self.input
@@ -883,30 +764,6 @@ impl TsxXor {
             .zip(and2, |(and_or, not), and2| Self { and_or, not, and2 }))
     }
 
-    /// Builds and instantiates in one step.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::spec(lay)?.instantiate(s))
-    }
-
-    /// Builds and instantiates over existing input/output registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn build_wired<S: Substrate + ?Sized>(
-        s: &mut S,
-        lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out: u64,
-    ) -> Result<Self> {
-        Ok(Self::spec_wired(lay, in_a, in_b, out)?.instantiate(s))
-    }
-
     /// First input register address.
     pub fn in_a(&self) -> u64 {
         self.and_or.in_a()
@@ -993,42 +850,42 @@ mod tests {
     #[test]
     fn assign_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxAssign::build(&mut m, &mut lay).unwrap();
+        let g = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn and_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
+        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn or_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxOr::build(&mut m, &mut lay).unwrap();
+        let g = TsxOr::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn not_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxNot::build(&mut m, &mut lay).unwrap();
+        let g = TsxNot::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn xor_truth_table() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
     }
 
     #[test]
     fn and_or_computes_both_outputs() {
         let (mut m, mut lay) = setup();
-        let g = TsxAndOr::build(&mut m, &mut lay).unwrap();
+        let g = TsxAndOr::spec(&mut lay).unwrap().instantiate(&mut m);
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             assert_eq!(g.execute(&mut m, a, b), (a & b, a | b), "inputs ({a},{b})");
         }
@@ -1037,7 +894,7 @@ mod tests {
     #[test]
     fn gates_are_reusable() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         for i in 0..100 {
             let a = (i >> 1) % 2 == 0;
             let b = i % 2 == 0;
@@ -1074,7 +931,7 @@ mod tests {
     #[test]
     fn aborted_gate_body_is_architecturally_invisible() {
         let (mut m, mut lay) = setup();
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
+        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         g.prepare(&mut m);
         set_dc(&mut m, g.in_a(), true);
         set_dc(&mut m, g.in_b(), true);
@@ -1099,7 +956,7 @@ mod tests {
     #[test]
     fn activation_trace_is_input_independent() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::build(&mut m, &mut lay).unwrap();
+        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         let mut prints = Vec::new();
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             g.prepare(&mut m);
@@ -1118,7 +975,7 @@ mod tests {
     #[test]
     fn repeated_activation_is_contiguous() {
         let (mut m, mut lay) = setup();
-        let g = TsxAssign::build(&mut m, &mut lay).unwrap();
+        let g = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
         g.prepare(&mut m);
         set_dc(&mut m, g.input(), true);
         g.activate(&mut m);

@@ -37,7 +37,7 @@ impl BpWr {
             rel: 0,
         });
         a.push(Inst::Halt);
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(branch_pc, branch_pc + 16);
         Ok(Self {
             branch_pc,
@@ -112,11 +112,11 @@ impl BtbWr {
         let target_c = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(jmp_pc);
         a.push(Inst::JmpInd { base: TARGET_REG });
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         for t in [target_b, target_c] {
             let mut a = Assembler::new(t);
             a.push(Inst::Halt);
-            s.install_program(a.finish()?);
+            s.install_program(&a.finish()?);
         }
         Ok(Self {
             jmp_pc,

@@ -86,7 +86,7 @@ impl IcWr {
         let code_addr = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(code_addr);
         a.push(Inst::Halt); // `call code` lands here and returns immediately
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         Ok(Self {
             code_addr,
             threshold: DEFAULT_THRESHOLD,

@@ -43,7 +43,7 @@ impl MulWr {
         }
         a.push(Inst::Halt);
         let burst_end = a.pc();
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(burst_pc, burst_end);
 
         let probe_pc = lay.alloc_app_code(64)?;
@@ -54,7 +54,7 @@ impl MulWr {
             b: Operand::Imm(3),
         });
         a.push(Inst::Halt);
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
 
         Ok(Self {
@@ -125,14 +125,14 @@ impl RobWr {
         }
         a.push(Inst::Halt);
         let burst_end = a.pc();
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(burst_pc, burst_end);
 
         let probe_pc = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(probe_pc);
         a.push(Inst::Fence);
         a.push(Inst::Halt);
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
 
         Ok(Self {
@@ -191,7 +191,7 @@ impl VmxWr {
         let mut a = Assembler::new(probe_pc);
         a.push(Inst::Vmx);
         a.push(Inst::Halt);
-        s.install_program(a.finish()?);
+        s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
         Ok(Self {
             probe_pc,

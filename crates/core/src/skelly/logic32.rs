@@ -9,8 +9,9 @@
 //! operations, but no ALU instruction ever combines two operands.
 
 use super::Skelly;
+use crate::substrate::Substrate;
 
-impl Skelly {
+impl<S: Substrate> Skelly<S> {
     /// Bitwise `a & b` through 32 weird-AND executions.
     pub fn and32(&mut self, a: u32, b: u32) -> u32 {
         self.map2(a, b, Self::and)

@@ -1,8 +1,9 @@
 //! The `skelly` framework (§6.2): ergonomic, reliable μWM computation.
 //!
 //! `skelly` abstracts away the microarchitectural bookkeeping a weird-gate
-//! programmer would otherwise fight by hand: it owns the simulated machine,
-//! maps every gate to dedicated cache-aligned memory, calibrates the timing
+//! programmer would otherwise fight by hand: it owns an execution backend
+//! (any [`Substrate`]; the simulated `Machine` by default), maps every gate
+//! to dedicated cache-aligned memory, calibrates the timing
 //! threshold, executes gates redundantly (median + vote), and exposes plain
 //! boolean functions — `and(a, b)`, a full adder, 32-bit logic — whose
 //! *implementations never execute the corresponding ALU instruction*.
@@ -44,11 +45,12 @@ pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples
 /// built against a shared [`Layout`] in a fixed order, plus the calibration
 /// probe address.
 ///
-/// A spec is built **once** and instantiated many times — on every shard of
-/// a [`crate::exec::ShardedExecutor`], or on freshly seeded machines for
-/// repeatability studies. Instantiation replays the gates' program installs
-/// and code warming in build order, so every instance sees the identical
-/// machine-visible construction sequence.
+/// A spec is built **once** and bound many times — on every shard of a
+/// [`crate::exec::ShardedExecutor`], on freshly seeded machines for
+/// repeatability studies, or on another backend altogether
+/// ([`SkellySpec::bind`]). Binding replays the gates' program installs and
+/// code warming in build order, so every instance sees the identical
+/// backend-visible construction sequence.
 ///
 /// # Examples
 ///
@@ -85,17 +87,7 @@ impl SkellySpec {
     ///
     /// Fails if gate construction exhausts the layout or assembly fails.
     pub fn new() -> Result<Self> {
-        Self::with_alias_stride(DEFAULT_ALIAS_STRIDE)
-    }
-
-    /// Like [`SkellySpec::new`] with an explicit branch-alias stride (must
-    /// match the target machines' predictor).
-    ///
-    /// # Errors
-    ///
-    /// Fails if gate construction exhausts the layout or assembly fails.
-    pub fn with_alias_stride(alias_stride: u64) -> Result<Self> {
-        let mut lay = Layout::new(alias_stride);
+        let mut lay = Layout::new(DEFAULT_ALIAS_STRIDE);
         let bp_and = BpAnd::spec(&mut lay)?;
         let bp_or = BpOr::spec(&mut lay)?;
         let bp_nand = BpNand::spec(&mut lay)?;
@@ -123,15 +115,20 @@ impl SkellySpec {
         })
     }
 
-    /// Binds the spec to a freshly constructed machine: installs and warms
-    /// every gate program in build order, calibrates the timing threshold,
-    /// and returns the runnable framework.
+    /// Binds the spec to a freshly constructed machine (see
+    /// [`SkellySpec::bind`]).
     pub fn instantiate(&self, cfg: MachineConfig, seed: u64) -> Skelly {
-        let mut m = Machine::new(cfg, seed);
+        self.bind(Machine::new(cfg, seed))
+    }
+
+    /// Binds the spec to backend `m`: installs and warms every gate
+    /// program in build order, calibrates the timing threshold, and
+    /// returns the runnable framework that owns `m`.
+    pub fn bind<S: Substrate>(&self, mut m: S) -> Skelly<S> {
         debug_assert_eq!(
-            m.predictor().alias_stride(),
+            m.alias_stride(),
             self.lay.alias_stride(),
-            "spec stride must match the machine's predictor"
+            "spec stride must match the backend's predictor"
         );
         let bp_and = self.bp_and.instantiate(&mut m);
         let bp_or = self.bp_or.instantiate(&mut m);
@@ -165,7 +162,8 @@ impl SkellySpec {
 }
 
 /// One pre-built instance of every weird gate, plus the machinery to run
-/// them reliably.
+/// them reliably, on backend `S` (the simulated [`Machine`] unless bound
+/// otherwise with [`SkellySpec::bind`]).
 ///
 /// # Examples
 ///
@@ -177,8 +175,8 @@ impl SkellySpec {
 /// assert_eq!(sk.add32(0xFFFF_FFFF, 1), 0, "wrap-around addition");
 /// ```
 #[derive(Debug)]
-pub struct Skelly {
-    m: Machine,
+pub struct Skelly<S: Substrate = Machine> {
+    m: S,
     lay: Layout,
     threshold: u64,
     red: Redundancy,
@@ -228,7 +226,9 @@ impl Skelly {
     pub fn noisy(seed: u64) -> Result<Self> {
         Self::new(MachineConfig::default(), seed)
     }
+}
 
+impl<S: Substrate> Skelly<S> {
     /// Sets the redundancy used by the logical operations.
     pub fn set_redundancy(&mut self, red: Redundancy) {
         self.red = red;
@@ -244,13 +244,13 @@ impl Skelly {
         self.threshold
     }
 
-    /// The underlying machine (analyzer probes, cycle counts).
-    pub fn machine(&self) -> &Machine {
+    /// The underlying backend (analyzer probes, cycle counts).
+    pub fn machine(&self) -> &S {
         &self.m
     }
 
-    /// Mutable access to the underlying machine.
-    pub fn machine_mut(&mut self) -> &mut Machine {
+    /// Mutable access to the underlying backend.
+    pub fn machine_mut(&mut self) -> &mut S {
         &mut self.m
     }
 
@@ -260,9 +260,9 @@ impl Skelly {
         &mut self.lay
     }
 
-    /// Splits the framework into machine + layout borrows (for wiring
+    /// Splits the framework into backend + layout borrows (for wiring
     /// circuits that need both at once).
-    pub fn machine_and_layout(&mut self) -> (&mut Machine, &mut Layout) {
+    pub fn machine_and_layout(&mut self) -> (&mut S, &mut Layout) {
         (&mut self.m, &mut self.lay)
     }
 
@@ -454,6 +454,7 @@ impl Skelly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::FlatEmulator;
 
     #[test]
     fn construction_calibrates_sane_threshold() {
@@ -531,16 +532,28 @@ mod tests {
 
     #[test]
     fn spec_matches_direct_construction() {
+        let spec = SkellySpec::new().unwrap();
         let mut direct = Skelly::quiet(11).unwrap();
-        let mut via_spec = SkellySpec::new()
-            .unwrap()
-            .instantiate(MachineConfig::quiet(), 11);
+        let mut via_spec = spec.instantiate(MachineConfig::quiet(), 11);
+        let mut bound = spec.bind(Machine::new(MachineConfig::quiet(), 11));
         assert_eq!(direct.threshold(), via_spec.threshold());
-        let rd = direct.execute_named("TSX_AND_OR", &[true, false]).unwrap();
-        let rs = via_spec
-            .execute_named("TSX_AND_OR", &[true, false])
-            .unwrap();
-        assert_eq!(rd, rs);
+        assert_eq!(bound.threshold(), via_spec.threshold());
+        for inputs in [[true, false], [true, true]] {
+            let rd = direct.execute_named("TSX_AND_OR", &inputs).unwrap();
+            let rs = via_spec.execute_named("TSX_AND_OR", &inputs).unwrap();
+            let rb = bound.execute_named("TSX_AND_OR", &inputs).unwrap();
+            assert_eq!(rd, rs);
+            assert_eq!(rb, rs);
+        }
+        assert_eq!(bound.machine().cycles(), via_spec.machine().cycles());
+
+        // The same spec bound to the flat emulator degenerates: every read
+        // takes the constant hit latency, so every register decodes as 1.
+        let mut flat = spec.bind(FlatEmulator::new());
+        let lat = flat.machine().latency().clone();
+        let r = flat.execute_named("TSX_ASSIGN", &[false]).unwrap();
+        assert_eq!(r.delay, lat.l1 + lat.rdtscp);
+        assert!(r.bit, "the flat emulator reads a 0 input as 1");
     }
 
     #[test]

@@ -327,7 +327,7 @@ mod tests {
         // A real gate on a noisy machine, voted at the paper's redundancy.
         let mut m = Machine::new(uwm_sim::machine::MachineConfig::default(), 11);
         let mut lay = Layout::new(m.predictor().alias_stride());
-        let g = TsxAnd::build(&mut m, &mut lay).unwrap();
+        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         let red = Redundancy::paper();
         let mut bank = CounterBank::new();
         for bits in 0..4u32 {

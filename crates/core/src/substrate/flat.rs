@@ -56,7 +56,6 @@ pub struct FlatEmulator {
     cycles: u64,
     tx: Option<FlatTx>,
     step_limit: u64,
-    alias_stride: u64,
 }
 
 impl Default for FlatEmulator {
@@ -68,13 +67,6 @@ impl Default for FlatEmulator {
 impl FlatEmulator {
     /// An emulator with the default latency model and alias stride.
     pub fn new() -> Self {
-        Self::with_alias_stride(DEFAULT_ALIAS_STRIDE)
-    }
-
-    /// An emulator whose [`Substrate::alias_stride`] matches a specific
-    /// layout (the stride is timing-irrelevant here, but specs built for
-    /// one stride must instantiate at the same addresses on all backends).
-    pub fn with_alias_stride(alias_stride: u64) -> Self {
         Self {
             lat: LatencyConfig::default(),
             regs: [0; NUM_REGS],
@@ -84,7 +76,6 @@ impl FlatEmulator {
             cycles: 0,
             tx: None,
             step_limit: 10_000_000,
-            alias_stride,
         }
     }
 
@@ -104,7 +95,6 @@ impl FlatEmulator {
         self.code.restore_from(&snap.code, false);
         self.tx.clone_from(&snap.tx);
         self.step_limit = snap.step_limit;
-        self.alias_stride = snap.alias_stride;
         self.cycles = snap.cycles;
     }
 
@@ -295,13 +285,8 @@ impl Substrate for FlatEmulator {
         "flat-emulator"
     }
 
-    fn install_program(&mut self, program: Program) {
+    fn install_program(&mut self, program: &Program) {
         self.program.merge(program);
-        self.code.rebuild(&self.program);
-    }
-
-    fn install_shared(&mut self, program: &Program) {
-        self.program.merge_from(program);
         self.code.rebuild(&self.program);
     }
 
@@ -385,7 +370,7 @@ impl Substrate for FlatEmulator {
     }
 
     fn alias_stride(&self) -> u64 {
-        self.alias_stride
+        DEFAULT_ALIAS_STRIDE
     }
 
     fn snapshot(&self) -> SubstrateSnapshot {
@@ -444,7 +429,7 @@ mod tests {
 
         let mut f = FlatEmulator::new();
         f.write_word(a_addr, 7);
-        f.install_program(prog);
+        f.install_program(&prog);
         assert_eq!(f.run_at(0x1000), RunOutcome::Halted);
         assert_eq!(f.read_word(a_addr), 7, "aborted store undone");
         assert_eq!(f.reg(1), 0, "registers restored");
@@ -460,7 +445,7 @@ mod tests {
         });
         a.push(Inst::Halt);
         let mut f = FlatEmulator::new();
-        f.install_program(a.finish().unwrap());
+        f.install_program(&a.finish().unwrap());
         assert_eq!(
             f.run_at(0),
             RunOutcome::Fault {
@@ -487,9 +472,50 @@ mod tests {
         });
         a.push(Inst::Halt);
         let mut f = FlatEmulator::new();
-        f.install_program(a.finish().unwrap());
+        f.install_program(&a.finish().unwrap());
         assert_eq!(f.run_at(0), RunOutcome::Halted);
         assert_eq!(f.read_word(out), 9);
+    }
+
+    /// The simulator's post-fault TSX leak (an assignment gate `d3 := d0`
+    /// with `d0` cached) fills `d3` on a `Machine`; here neither a miss
+    /// nor the leak program changes any read latency.
+    #[test]
+    fn uniform_timing_and_no_post_fault_leak() {
+        let mut f = FlatEmulator::new();
+        let miss = f.timed_read(0x4000);
+        let hit = f.timed_read(0x4000);
+        assert_eq!(miss, hit, "no hit/miss distinction");
+
+        let d0 = 0x4000u32;
+        let d3 = 0x4400u32;
+        f.flush_addr(d3 as u64);
+        let mut a = Assembler::new(0);
+        a.xbegin("handler");
+        a.push(Inst::Div {
+            dst: 1,
+            a: 1,
+            b: Operand::Imm(0),
+        });
+        a.push(Inst::Load { dst: 2, addr: d0 });
+        a.push(Inst::Alu {
+            op: AluOp::Add,
+            dst: 2,
+            a: 2,
+            b: Operand::Imm(d3),
+        });
+        a.push(Inst::LoadInd {
+            dst: 3,
+            base: 2,
+            offset: 0,
+        });
+        a.push(Inst::Xend);
+        a.label("handler").unwrap();
+        a.push(Inst::Halt);
+        f.install_program(&a.finish().unwrap());
+        assert_eq!(f.run_at(0), RunOutcome::Halted);
+        assert_eq!(f.reg(3), 0, "architectural register rolled back");
+        assert_eq!(f.timed_read(d3 as u64), miss, "d3 reads like any line");
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! by machine-independent *specs* ([`crate::gate::GateSpec`]) — wiring
 //! addresses plus assembled program templates — and bound to a backend by
 //! `spec.instantiate(&mut substrate)`. The [`Substrate`] trait is the
-//! complete contract of that binding: program loading, code warming, timed
-//! reads, cache flushes, and a cycle source.
+//! complete contract of that binding: program loading (one path,
+//! [`Substrate::install_program`]), code warming, timed reads, cache
+//! flushes, and a cycle source.
 //!
 //! Two implementations ship with the workspace:
 //!
 //! * [`uwm_sim::machine::Machine`] — the full microarchitectural
 //!   simulator (caches, speculation, TSX, predictors). Weird gates
 //!   *compute* on it.
-//! * [`FlatEmulator`] — an independent, purely architectural interpreter
-//!   with constant memory latency and no speculative windows. Weird gates
-//!   *degenerate* on it, which is exactly what the paper's §7 emulation
-//!   detector exploits: the same gate spec instantiated on both backends
-//!   distinguishes them.
+//! * [`FlatEmulator`] — the one flat interpreter: independent, purely
+//!   architectural, with constant memory latency and no speculative
+//!   windows. Weird gates *degenerate* on it, which is exactly what the
+//!   paper's §7 emulation detector exploits: the same gate spec
+//!   instantiated on both backends distinguishes them. Because it shares
+//!   no code with `Machine`'s interpreter, it is also the oracle of the
+//!   architectural differential test (`tests/backend_differential.rs`).
 
 pub mod flat;
 
@@ -65,13 +68,9 @@ pub trait Substrate {
     fn backend_name(&self) -> &'static str;
 
     /// Installs an assembled program fragment, merging it with any code
-    /// already loaded.
-    fn install_program(&mut self, program: Program);
-
-    /// Installs a program fragment from a shared reference, merging its
-    /// instructions without cloning the whole [`Program`] first — the
-    /// spec-binding path for `Arc`-shared gate units.
-    fn install_shared(&mut self, program: &Program);
+    /// already loaded. Installing into an empty backend shares the
+    /// fragment's instruction image instead of copying it.
+    fn install_program(&mut self, program: &Program);
 
     /// Warms the instruction-side state for `[base, end)` so gate code
     /// itself never misses (its residency must stay input-independent).
@@ -151,12 +150,8 @@ impl Substrate for Machine {
         "uwm-sim"
     }
 
-    fn install_program(&mut self, program: Program) {
+    fn install_program(&mut self, program: &Program) {
         self.add_program(program);
-    }
-
-    fn install_shared(&mut self, program: &Program) {
-        self.add_program_from(program);
     }
 
     fn warm_code_range(&mut self, base: u64, end: u64) {
@@ -266,7 +261,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::quiet(), 0);
         let mut f = FlatEmulator::new();
         for s in [&mut m as &mut dyn Substrate, &mut f as &mut dyn Substrate] {
-            s.install_program(prog.clone());
+            s.install_program(&prog);
             assert_eq!(s.run_at(0x100), RunOutcome::Halted);
             assert_eq!(s.read_word(0x10_0000), 7, "{}", s.backend_name());
         }

@@ -479,14 +479,9 @@ impl Program {
     }
 
     /// Merges another program's instructions into this one. Later
-    /// definitions win on address clashes.
-    pub fn merge(&mut self, other: Program) {
-        self.merge_from(&other);
-    }
-
-    /// Merges `other`'s instructions from a shared reference. Merging
-    /// into an empty program shares `other`'s map instead of copying it.
-    pub fn merge_from(&mut self, other: &Program) {
+    /// definitions win on address clashes. Merging into an empty program
+    /// shares `other`'s map instead of copying it.
+    pub fn merge(&mut self, other: &Program) {
         if other.is_empty() {
             return;
         }
@@ -971,7 +966,7 @@ mod tests {
         let mut b = Program::new();
         b.put(8, Inst::Halt);
         b.put(0, Inst::Fence); // clash: b wins
-        a.merge(b);
+        a.merge(&b);
         assert_eq!(a.get(0), Some(Inst::Fence));
         let addrs: Vec<u64> = a.iter().map(|(a, _)| a).collect();
         assert_eq!(addrs, vec![0, 8]);

@@ -9,10 +9,10 @@
 //!   `clflush`,
 //! * a [direction predictor and BTB](branch) that can be mistrained through
 //!   aliased branches,
-//! * a [machine](machine) whose mispredicted branches and faulting
+//! * a [machine] whose mispredicted branches and faulting
 //!   transactions open *speculative windows* in which wrong-path code races
 //!   cache latencies,
-//! * [contention](contention) state (ROB, multiplier, VMX) for the volatile
+//! * [contention] state (ROB, multiplier, VMX) for the volatile
 //!   weird registers of the paper's Table 1, and
 //! * a seeded [noise model](timing) reproducing the error rates and latency
 //!   tails of the paper's evaluation.
@@ -59,8 +59,7 @@ pub mod prelude {
     pub use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
     pub use crate::isa::{AluOp, Assembler, Inst, Operand, Program, Reg, INST_SIZE};
     pub use crate::machine::{
-        ExecutionModel, FaultCause, Machine, MachineConfig, MachineSnapshot, MachineStats,
-        RunOutcome,
+        FaultCause, Machine, MachineConfig, MachineSnapshot, MachineStats, RunOutcome,
     };
     pub use crate::memory::Memory;
     pub use crate::predecode::CodeCache;

@@ -2,14 +2,10 @@
 //! speculation, TSX transactions with post-fault speculative windows, and a
 //! cycle counter whose variations carry the μWM's data.
 //!
-//! Two execution models are supported:
-//!
-//! * [`ExecutionModel::Microarchitectural`] — the full model. Caches,
-//!   predictors, speculative windows and contention all modulate timing.
-//! * [`ExecutionModel::Flat`] — an "emulator": architecturally identical,
-//!   but every operation takes a fixed latency and nothing is speculated.
-//!   μWM computations degenerate on it, which is the paper's
-//!   emulation-detection use case (§2.1).
+//! Caches, predictors, speculative windows and contention all modulate
+//! timing. The flat "emulator" the paper's emulation detection (§2.1)
+//! contrasts with this model is a separate, independent interpreter:
+//! `uwm_core::substrate::FlatEmulator`.
 
 use std::fmt;
 use std::ops::Deref;
@@ -28,17 +24,6 @@ use crate::trace::{ArchEvent, Tracer};
 /// regardless of timing (hardware bounds this by ROB capacity).
 pub const MAX_SPEC_INSTS: usize = 256;
 
-/// Whether the machine models the microarchitecture or emulates flatly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecutionModel {
-    /// Full MA modelling (caches, speculation, TSX windows, contention).
-    #[default]
-    Microarchitectural,
-    /// Flat emulation: fixed latencies, no speculation, no MA state. This
-    /// is what a conventional emulator/analyzer implements.
-    Flat,
-}
-
 /// Machine construction parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -50,8 +35,6 @@ pub struct MachineConfig {
     pub hierarchy: HierarchyConfig,
     /// Direction-predictor scheme.
     pub predictor: PredictorKind,
-    /// Execution model.
-    pub model: ExecutionModel,
     /// Serve fetches from the predecoded instruction cache (host-side
     /// fast path; never affects timing or decoding — kept as a switch so
     /// tests can prove equivalence against the slow path).
@@ -65,7 +48,6 @@ impl Default for MachineConfig {
             noise: NoiseConfig::default(),
             hierarchy: HierarchyConfig::default(),
             predictor: PredictorKind::default(),
-            model: ExecutionModel::default(),
             predecode: true,
         }
     }
@@ -75,15 +57,6 @@ impl MachineConfig {
     /// A noise-free configuration, for deterministic logic tests.
     pub fn quiet() -> Self {
         Self {
-            noise: NoiseConfig::quiet(),
-            ..Self::default()
-        }
-    }
-
-    /// A flat "emulator" configuration (see [`ExecutionModel::Flat`]).
-    pub fn flat() -> Self {
-        Self {
-            model: ExecutionModel::Flat,
             noise: NoiseConfig::quiet(),
             ..Self::default()
         }
@@ -354,11 +327,6 @@ impl Machine {
         }
     }
 
-    /// Shorthand for a default-config machine with the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(MachineConfig::default(), seed)
-    }
-
     // ------------------------------------------------------------------
     // Program and memory management
     // ------------------------------------------------------------------
@@ -370,15 +338,9 @@ impl Machine {
     }
 
     /// Merges additional code into the loaded program and repredecodes.
-    pub fn add_program(&mut self, program: Program) {
+    /// Merging into an empty program shares `program`'s image.
+    pub fn add_program(&mut self, program: &Program) {
         self.program.merge(program);
-        self.code.rebuild(&self.program);
-    }
-
-    /// Merges additional code from a shared reference and repredecodes —
-    /// no intermediate [`Program`] clone.
-    pub fn add_program_from(&mut self, program: &Program) {
-        self.program.merge_from(program);
         self.code.rebuild(&self.program);
     }
 
@@ -458,11 +420,6 @@ impl Machine {
     /// The latency configuration.
     pub fn latency(&self) -> &LatencyConfig {
         &self.cfg.latency
-    }
-
-    /// The execution model in effect.
-    pub fn model(&self) -> ExecutionModel {
-        self.cfg.model
     }
 
     // ------------------------------------------------------------------
@@ -611,9 +568,6 @@ impl Machine {
 
     /// Non-speculative data access: fills caches, returns latency.
     fn data_access(&mut self, addr: u64, timed: bool) -> u64 {
-        if self.cfg.model == ExecutionModel::Flat {
-            return self.cfg.latency.l1;
-        }
         let level = self.hier.access_data(addr);
         let mut lat = self.level_latency(level) + self.noise.mem_jitter();
         if timed {
@@ -624,9 +578,6 @@ impl Machine {
 
     /// Non-speculative instruction fetch: fills L1I path, returns latency.
     fn inst_access(&mut self, addr: u64) -> u64 {
-        if self.cfg.model == ExecutionModel::Flat {
-            return 1;
-        }
         let level = self.hier.access_inst(addr);
         self.level_latency(level) + self.noise.mem_jitter()
     }
@@ -741,14 +692,10 @@ impl Machine {
             }
             Inst::Mul { dst, a, b } => {
                 let v = self.regs[a as usize].wrapping_mul(self.operand(b));
-                if self.cfg.model == ExecutionModel::Microarchitectural {
-                    let delay = self.contention.mul_delay(self.cycles);
-                    self.cycles += lat.mul + delay;
-                    self.contention
-                        .pressure_mul(crate::contention::MUL_OCCUPANCY, self.cycles);
-                } else {
-                    self.cycles += lat.mul;
-                }
+                let delay = self.contention.mul_delay(self.cycles);
+                self.cycles += lat.mul + delay;
+                self.contention
+                    .pressure_mul(crate::contention::MUL_OCCUPANCY, self.cycles);
                 self.write_reg(dst, v);
                 StepResult::Continue(next)
             }
@@ -789,17 +736,13 @@ impl Machine {
                 StepResult::Continue(next)
             }
             Inst::Flush { addr } => {
-                if self.cfg.model == ExecutionModel::Microarchitectural {
-                    self.hier.flush(addr as u64);
-                }
+                self.hier.flush(addr as u64);
                 self.cycles += lat.clflush;
                 StepResult::Continue(next)
             }
             Inst::FlushInd { base, offset } => {
                 let addr = self.regs[base as usize].wrapping_add(offset as u64);
-                if self.cfg.model == ExecutionModel::Microarchitectural {
-                    self.hier.flush(addr);
-                }
+                self.hier.flush(addr);
                 self.cycles += lat.clflush;
                 StepResult::Continue(next)
             }
@@ -830,8 +773,7 @@ impl Machine {
                 }
                 self.cycles += lat.xbegin;
                 self.stats.tx_begun += 1;
-                let doomed = self.cfg.model == ExecutionModel::Microarchitectural
-                    && self.noise.tsx_spurious_abort();
+                let doomed = self.noise.tsx_spurious_abort();
                 self.tx = Some(TxState {
                     handler: handler as u64,
                     saved_regs: self.regs,
@@ -857,24 +799,15 @@ impl Machine {
                 None => StepResult::Fault(FaultCause::TxMisuse),
             },
             Inst::Vmx => {
-                if self.cfg.model == ExecutionModel::Microarchitectural {
-                    let warm = self.contention.vmx_execute(self.cycles);
-                    self.cycles += if warm { lat.vmx_warm } else { lat.vmx_cold };
-                } else {
-                    self.cycles += lat.vmx_warm;
-                }
+                let warm = self.contention.vmx_execute(self.cycles);
+                self.cycles += if warm { lat.vmx_warm } else { lat.vmx_cold };
                 StepResult::Continue(next)
             }
             Inst::Fence => {
                 // A serializing instruction waits for the reorder buffer to
                 // drain: its latency exposes ROB pressure (Table 1's ROB
                 // contention weird register).
-                let stall = if self.cfg.model == ExecutionModel::Microarchitectural {
-                    self.contention.rob_stall(self.cycles)
-                } else {
-                    0
-                };
-                self.cycles += 20 + stall;
+                self.cycles += 20 + self.contention.rob_stall(self.cycles);
                 StepResult::Continue(next)
             }
             Inst::Invalid => StepResult::Fault(FaultCause::InvalidInstruction),
@@ -884,7 +817,7 @@ impl Machine {
     /// A long-latency load parks in the reorder buffer: pressure other
     /// instructions can observe (ROB weird register write path).
     fn rob_pressure_on_miss(&mut self, lat: u64) {
-        if self.cfg.model == ExecutionModel::Microarchitectural && lat >= self.cfg.latency.l3 {
+        if lat >= self.cfg.latency.l3 {
             self.contention.pressure_rob(lat, self.cycles);
         }
     }
@@ -907,12 +840,10 @@ impl Machine {
 
     fn account_jump(&mut self, pc: u64, target: u64) {
         self.cycles += self.cfg.latency.alu;
-        if self.cfg.model == ExecutionModel::Microarchitectural {
-            if self.btb.lookup(pc) != Some(target) {
-                self.cycles += self.cfg.latency.btb_miss_penalty;
-            }
-            self.btb.update(pc, target);
+        if self.btb.lookup(pc) != Some(target) {
+            self.cycles += self.cfg.latency.btb_miss_penalty;
         }
+        self.btb.update(pc, target);
     }
 
     /// Executes a conditional branch, opening a speculative window on
@@ -922,18 +853,6 @@ impl Machine {
         let taken_target = brz_target(pc, rel);
         let fallthrough = pc + INST_SIZE;
         let actual_taken = self.mem.read_u64(cond_addr) == 0;
-
-        if self.cfg.model == ExecutionModel::Flat {
-            // An emulator resolves the branch instantly and perfectly.
-            self.cycles += self.cfg.latency.alu + self.cfg.latency.l1;
-            self.bp.update(pc, actual_taken);
-            return StepResult::Continue(if actual_taken {
-                taken_target
-            } else {
-                fallthrough
-            });
-        }
-
         let resolve_lat = self.data_access(cond_addr, false);
         let mut predicted_taken = self.bp.predict(pc);
         if self.noise.bp_alias() {
@@ -1279,9 +1198,7 @@ impl Machine {
     /// the abort handler.
     fn tsx_abort_with_window(&mut self, fault_pc: u64, _cause: FaultCause) -> u64 {
         let window = self.noise.tsx_window(self.cfg.latency.tsx_spec_window);
-        if self.cfg.model == ExecutionModel::Microarchitectural {
-            self.speculate(fault_pc + INST_SIZE, window);
-        }
+        self.speculate(fault_pc + INST_SIZE, window);
         self.tsx_abort_rollback(false)
     }
 
@@ -1473,7 +1390,7 @@ mod tests {
             rel: 0,
         }); // mem[0x4100]=1 → fall through
         train.push(Inst::Halt);
-        m.add_program(train.finish().unwrap());
+        m.add_program(&train.finish().unwrap());
         m.mem_mut().write_u64(0x4100, 1);
         for _ in 0..4 {
             m.run_at(alias);
@@ -1519,7 +1436,7 @@ mod tests {
             rel: 0,
         });
         train.push(Inst::Halt);
-        m.add_program(train.finish().unwrap());
+        m.add_program(&train.finish().unwrap());
         m.mem_mut().write_u64(0x4100, 1);
         for _ in 0..4 {
             m.run_at(alias);
@@ -1746,54 +1663,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn flat_model_has_uniform_timing_and_no_leaks() {
-        let mut m = Machine::new(MachineConfig::flat(), 0);
-        let a = m.timed_read(0x4000);
-        let b = m.timed_read(0x4000);
-        assert_eq!(a, b, "flat model: no hit/miss distinction");
-
-        // The post-fault TSX leak from the MA test does nothing here.
-        let d0 = 0x4000u32;
-        let d3 = 0x4400u32;
-        let mut asm = Assembler::new(0);
-        asm.push(Inst::Xbegin { handler: 0 });
-        asm.push(Inst::Div {
-            dst: 1,
-            a: 1,
-            b: Operand::Imm(0),
-        });
-        asm.push(Inst::Load { dst: 2, addr: d0 });
-        asm.push(Inst::Alu {
-            op: AluOp::Add,
-            dst: 2,
-            a: 2,
-            b: Operand::Imm(d3),
-        });
-        asm.push(Inst::LoadInd {
-            dst: 3,
-            base: 2,
-            offset: 0,
-        });
-        asm.push(Inst::Xend);
-        asm.label("handler").unwrap();
-        asm.push(Inst::Halt);
-        let handler = asm.resolve("handler").unwrap();
-        let mut p = asm.finish().unwrap();
-        p.put(
-            0,
-            Inst::Xbegin {
-                handler: handler as u32,
-            },
-        );
-        m.load_program(p);
-        m.run_at(0);
-        assert!(
-            !m.hierarchy().in_l1d(d3 as u64),
-            "no MA effects in flat mode"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Replacement policies for set-associative caches.
 //!
 //! The paper notes (§3.1, "Variability") that weird registers can be built
-//! from replacement metadata itself (LRU-state channels, [65] in the paper),
-//! so the policy is a first-class, swappable component here.
+//! from replacement metadata itself (LRU-state channels, the paper's
+//! reference 65), so the policy is a first-class, swappable component here.
 
 /// Which replacement policy a cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

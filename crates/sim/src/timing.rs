@@ -199,10 +199,11 @@ impl NoiseConfig {
     }
 }
 
-/// Seeded noise generator owned by a [`crate::Machine`].
+/// Seeded noise generator owned by a [`crate::machine::Machine`].
 ///
 /// All randomness in the simulator flows through this type so that a machine
-/// constructed with [`crate::Machine::with_seed`] replays identically.
+/// constructed with the same seed (see [`crate::machine::Machine::new`])
+/// replays identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseGen {
     cfg: NoiseConfig,

@@ -2,7 +2,7 @@
 //! bounds, transaction misuse, BTB timing, contention observability, and
 //! decode strictness — the behaviours weird machines lean on hardest.
 
-use uwm_sim::isa::{AluOp, Assembler, Inst, Operand, INST_SIZE};
+use uwm_sim::isa::{Assembler, Inst, Operand, INST_SIZE};
 use uwm_sim::machine::{FaultCause, Machine, MachineConfig, RunOutcome};
 
 fn quiet() -> Machine {
@@ -31,7 +31,7 @@ fn speculative_infinite_loop_is_bounded() {
         rel: 0,
     });
     t.push(Inst::Halt);
-    m.add_program(t.finish().unwrap());
+    m.add_program(&t.finish().unwrap());
     m.mem_mut().write_u64(0x4100, 1);
     for _ in 0..4 {
         m.run_at(alias);
@@ -199,59 +199,6 @@ fn single_byte_corruption_changes_decode() {
             }
         }
     }
-}
-
-/// Flat (emulator) mode executes architecturally identically to the MA
-/// mode for a deterministic program.
-#[test]
-fn flat_and_ma_models_agree_architecturally() {
-    let build = || {
-        let mut a = Assembler::new(0);
-        a.push(Inst::Mov {
-            dst: 0,
-            src: Operand::Imm(10),
-        });
-        a.push(Inst::Store {
-            addr: 0x4000,
-            src: 0,
-        });
-        a.label("loop").unwrap();
-        a.push(Inst::Load {
-            dst: 0,
-            addr: 0x4000,
-        });
-        a.push(Inst::Alu {
-            op: AluOp::Sub,
-            dst: 0,
-            a: 0,
-            b: Operand::Imm(1),
-        });
-        a.push(Inst::Store {
-            addr: 0x4000,
-            src: 0,
-        });
-        a.push(Inst::Alu {
-            op: AluOp::Add,
-            dst: 5,
-            a: 5,
-            b: Operand::Imm(3),
-        });
-        a.brz(0x4000, "end");
-        a.jmp("loop");
-        a.label("end").unwrap();
-        a.push(Inst::Halt);
-        a.finish().unwrap()
-    };
-    let mut ma = Machine::new(MachineConfig::quiet(), 1);
-    ma.load_program(build());
-    let mut flat = Machine::new(MachineConfig::flat(), 1);
-    flat.load_program(build());
-    assert_eq!(ma.run_at(0), RunOutcome::Halted);
-    assert_eq!(flat.run_at(0), RunOutcome::Halted);
-    for r in 0..16 {
-        assert_eq!(ma.reg(r), flat.reg(r), "register {r}");
-    }
-    assert_eq!(ma.mem().read_u64(0x4000), flat.mem().read_u64(0x4000));
 }
 
 /// Div-by-zero via a register divisor faults like an immediate one.

@@ -464,7 +464,7 @@ fn program_changes_after_a_restore_are_undone() {
     assert_restored(&m, &snap, "empty program loaded");
     let mut extra = Assembler::new(0x8000);
     extra.push(Inst::Halt);
-    m.add_program(extra.finish().unwrap());
+    m.add_program(&extra.finish().unwrap());
     m.restore_from(&snap);
     assert_restored(&m, &snap, "code added");
     assert_replays_like_fresh(&mut m, &snap, 5, "program changes");

@@ -20,7 +20,7 @@ fn main() -> Result<()> {
     println!("DC-WR roundtrip: wrote 0, read {}", reg.read(&mut m) as u8);
 
     // --- 2. A weird gate: AND computed by a speculative race -----------
-    let gate = BpAnd::build(&mut m, &mut lay)?;
+    let gate = BpAnd::spec(&mut lay)?.instantiate(&mut m);
     println!("\nBranch-predictor AND gate (Figure 1):");
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
         let r = gate.execute_reading(&mut m, a, b);

@@ -2,12 +2,13 @@
 //! applications, exercised together.
 
 use uwm_apps::covert::CovertChannel;
-use uwm_apps::emulation::{probe_config, Platform};
+use uwm_apps::emulation::{probe, probe_config, Platform};
 use uwm_apps::wm_apt::{Payload, WmApt};
 use uwm_core::circuit::CircuitBuilder;
 use uwm_core::layout::Layout;
 use uwm_core::reg::{DcWr, WeirdRegister};
 use uwm_core::skelly::{Redundancy, Skelly};
+use uwm_core::substrate::{FlatEmulator, Substrate};
 use uwm_sim::machine::{Machine, MachineConfig};
 
 /// A weird register written through the register API is readable through a
@@ -18,7 +19,9 @@ fn register_and_gate_layers_share_state() {
     let mut lay = Layout::new(m.predictor().alias_stride());
     let input = lay.alloc_var().unwrap();
     let out = lay.alloc_var().unwrap();
-    let gate = uwm_core::gate::tsx::TsxAssign::build_wired(&mut m, &mut lay, input, out).unwrap();
+    let gate = uwm_core::gate::tsx::TsxAssign::spec_wired(&mut lay, input, out)
+        .unwrap()
+        .instantiate(&mut m);
     let reg = DcWr::at(input, 100);
 
     reg.write(&mut m, true);
@@ -76,8 +79,8 @@ fn covert_channel_is_usable_under_noise() {
     assert!(intact * 10 >= msg.len() * 9);
 }
 
-/// Emulation detection distinguishes the two machine models regardless of
-/// seed.
+/// Emulation detection tells the simulated machine from the flat emulator
+/// regardless of the machine's noise seed.
 #[test]
 fn emulation_detection_is_seed_robust() {
     for seed in 0..5 {
@@ -85,11 +88,10 @@ fn emulation_detection_is_seed_robust() {
             probe_config(MachineConfig::default(), seed).unwrap(),
             Platform::RealHardware
         );
-        assert_eq!(
-            probe_config(MachineConfig::flat(), seed).unwrap(),
-            Platform::Emulated
-        );
     }
+    let mut flat = FlatEmulator::new();
+    let mut lay = Layout::new(flat.alias_stride());
+    assert_eq!(probe(&mut flat, &mut lay).unwrap(), Platform::Emulated);
 }
 
 /// A multi-gate circuit and the voted skelly ops agree on the same
