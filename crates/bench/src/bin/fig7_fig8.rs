@@ -6,12 +6,18 @@
 
 use uwm_bench::json::Json;
 use uwm_bench::{delay_histogram, maybe_write_json, parse_args, scaled, sharded_delays};
-use uwm_core::gate::READ_THRESHOLD;
+use uwm_core::exec::batch_seed;
+use uwm_core::skelly::Skelly;
 use uwm_rng::Rng;
 
 fn main() {
     let args = parse_args();
     let samples = scaled(20_000, args.scale);
+    // The threshold the first batch's skelly calibrates (every batch
+    // calibrates its own; they differ by a cycle or two).
+    let boundary = Skelly::noisy(batch_seed(0xF7, 0))
+        .expect("skelly builds")
+        .threshold();
     let mut figures = Vec::new();
     for (fig, gate) in [("Figure 7", "AND"), ("Figure 8", "OR")] {
         let delays = sharded_delays(samples, 0xF7, args.shards, |sk, rng| {
@@ -20,7 +26,7 @@ fn main() {
         });
         println!("{fig}: bp/icache {gate} gate — measured timing distribution");
         println!(
-            "({samples} samples, {} shard(s); logic boundary at {READ_THRESHOLD} cycles)\n",
+            "({samples} samples, {} shard(s); calibrated logic boundary at {boundary} cycles)\n",
             args.shards
         );
         println!("{:>10} {:>10}", "delay", "count");
@@ -34,7 +40,7 @@ fn main() {
                 break;
             }
             let bar = "#".repeat((count * 50 / peak) as usize);
-            let marker = if bucket <= READ_THRESHOLD && bucket + 8 > READ_THRESHOLD {
+            let marker = if bucket <= boundary && bucket + 8 > boundary {
                 "  <-- logic boundary"
             } else {
                 ""

@@ -199,54 +199,6 @@ impl BatchRunner {
         );
         Ok(results)
     }
-
-    /// Batched redundancy: evaluates every input vector `trials` times —
-    /// each trial restoring the shard's snapshot and reseeding with a seed
-    /// derived from `(item, trial)` — and majority-votes each output bit.
-    /// The `trials × items` executions all reuse the pooled warm state;
-    /// nothing is re-instantiated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Arity`] if any input vector's length differs
-    /// from the circuit's declared inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero.
-    pub fn run_voted<B, F>(
-        &self,
-        factory: F,
-        inputs: &[Vec<bool>],
-        trials: usize,
-    ) -> Result<Vec<Vec<bool>>>
-    where
-        B: Substrate,
-        F: Fn() -> B + Sync,
-    {
-        assert!(trials > 0, "voting needs at least one trial");
-        self.check_arity(inputs)?;
-        let results = self.exec.run_with(
-            inputs.len(),
-            || self.pool(&factory),
-            |i, pool: &mut ShardPool<B>| {
-                let mut ones = vec![0usize; self.plan.output_count()];
-                for t in 0..trials {
-                    pool.backend.restore(&pool.snapshot);
-                    pool.backend.reseed(batch_seed(batch_seed(self.seed, i), t));
-                    let readings = pool
-                        .circuit
-                        .run_timed(&mut pool.backend, &inputs[i])
-                        .expect("arity validated before dispatch");
-                    for (n, r) in ones.iter_mut().zip(&readings) {
-                        *n += usize::from(r.bit);
-                    }
-                }
-                ones.into_iter().map(|n| 2 * n > trials).collect()
-            },
-        );
-        Ok(results)
-    }
 }
 
 #[cfg(test)]
@@ -291,19 +243,6 @@ mod tests {
                 .unwrap();
             assert_eq!(got, base, "{shards} shards");
         }
-    }
-
-    #[test]
-    fn voted_run_agrees_with_plain_run_on_quiet_machine() {
-        let runner = BatchRunner::new(xor_plan(), ShardedExecutor::new(2), 3);
-        let inputs: Vec<Vec<bool>> = (0..4).map(|i| vec![i & 1 == 1, i & 2 == 2]).collect();
-        let plain = runner
-            .run(|| Machine::new(MachineConfig::quiet(), 3), &inputs)
-            .unwrap();
-        let voted = runner
-            .run_voted(|| Machine::new(MachineConfig::quiet(), 3), &inputs, 3)
-            .unwrap();
-        assert_eq!(plain, voted);
     }
 
     #[test]

@@ -22,15 +22,10 @@ use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr};
-use crate::gate::{GateReading, ProgramUnit, READ_THRESHOLD};
+use crate::gate::{calibrate_threshold, decode, GateReading, ProgramUnit, CALIBRATION_SAMPLES};
 use crate::layout::Layout;
-use crate::skelly::calibrate_threshold;
 use crate::substrate::Substrate;
 use uwm_sim::isa::Program;
-
-/// Samples used when calibrating a circuit's read threshold at
-/// instantiation time (odd, so the median is a real sample).
-const CALIBRATION_SAMPLES: usize = 33;
 
 /// A handle to one weird-register wire inside a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,8 +199,8 @@ impl CircuitBuilder {
     pub fn assign(&mut self, lay: &mut Layout, a: Wire) -> Result<Wire> {
         self.consume(&[a])?;
         let q = self.fresh_wire(lay)?;
-        let (g, units) = TsxAssign::spec_wired(lay, self.wires[a.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
+        let g = TsxAssign::spec_wired(lay, self.wires[a.0], self.wires[q.0])?
+            .into_gate(&mut self.units);
         self.steps.push(Step::Assign { g, a, q });
         Ok(q)
     }
@@ -218,8 +213,8 @@ impl CircuitBuilder {
     pub fn not(&mut self, lay: &mut Layout, a: Wire) -> Result<Wire> {
         self.consume(&[a])?;
         let q = self.fresh_wire(lay)?;
-        let (g, units) = TsxNot::spec_wired(lay, self.wires[a.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
+        let g =
+            TsxNot::spec_wired(lay, self.wires[a.0], self.wires[q.0])?.into_gate(&mut self.units);
         self.steps.push(Step::Not { g, a, q });
         Ok(q)
     }
@@ -232,10 +227,8 @@ impl CircuitBuilder {
     pub fn and(&mut self, lay: &mut Layout, a: Wire, b: Wire) -> Result<Wire> {
         self.consume(&[a, b])?;
         let q = self.fresh_wire(lay)?;
-        let (g, units) =
-            TsxAnd::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?
-                .into_parts();
-        self.units.extend(units);
+        let g = TsxAnd::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?
+            .into_gate(&mut self.units);
         self.steps.push(Step::And { g, a, b, q });
         Ok(q)
     }
@@ -248,9 +241,8 @@ impl CircuitBuilder {
     pub fn or(&mut self, lay: &mut Layout, a: Wire, b: Wire) -> Result<Wire> {
         self.consume(&[a, b])?;
         let q = self.fresh_wire(lay)?;
-        let (g, units) =
-            TsxOr::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?.into_parts();
-        self.units.extend(units);
+        let g = TsxOr::spec_wired(lay, self.wires[a.0], self.wires[b.0], self.wires[q.0])?
+            .into_gate(&mut self.units);
         self.steps.push(Step::Or { g, a, b, q });
         Ok(q)
     }
@@ -264,15 +256,14 @@ impl CircuitBuilder {
         self.consume(&[a, b])?;
         let q_and = self.fresh_wire(lay)?;
         let q_or = self.fresh_wire(lay)?;
-        let (g, units) = TsxAndOr::spec_wired(
+        let g = TsxAndOr::spec_wired(
             lay,
             self.wires[a.0],
             self.wires[b.0],
             self.wires[q_and.0],
             self.wires[q_or.0],
         )?
-        .into_parts();
-        self.units.extend(units);
+        .into_gate(&mut self.units);
         self.steps.push(Step::AndOr {
             g,
             a,
@@ -435,22 +426,10 @@ impl CircuitSpec {
         self.compile().instantiate(s)
     }
 
-    /// Binds the circuit the way the pre-plan engine did: one
-    /// [`Substrate::install_program`] — and thus one full predecode rebuild
-    /// — per gate fragment, and the frozen default [`READ_THRESHOLD`]
-    /// instead of a calibrated one. Kept as the serial comparator for the
-    /// batch engine's speedup measurements.
-    pub fn instantiate_per_unit<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
-        for u in &self.units {
-            s.install_program(&u.program);
-            if let Some((base, end)) = u.warm {
-                s.warm_code_range(base, end);
-            }
-        }
-        Circuit {
-            plan: self.compile(),
-            threshold: READ_THRESHOLD,
-        }
+    /// The deduplicated gate program fragments, in build order (the plan
+    /// merges them into one image).
+    pub fn units(&self) -> &[ProgramUnit] {
+        &self.units
     }
 }
 
@@ -527,17 +506,17 @@ impl CircuitPlan {
     /// Binds the plan to an execution backend: installs the merged program
     /// image (one predecode pass), warms the declared code ranges, then
     /// calibrates the read threshold against this backend's actual timing
-    /// by probing the first output wire. A circuit with no outputs falls
-    /// back to the default [`READ_THRESHOLD`].
+    /// by probing the first output wire. A circuit with no outputs decodes
+    /// nothing and calibrates nothing.
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> Circuit {
         s.install_program(&self.program);
         for &(base, end) in &self.warm {
             s.warm_code_range(base, end);
         }
-        let threshold = match self.output_addrs.first() {
-            Some(&probe) => calibrate_threshold(s, probe, CALIBRATION_SAMPLES),
-            None => READ_THRESHOLD,
-        };
+        let threshold = self
+            .output_addrs
+            .first()
+            .map(|&probe| calibrate_threshold(s, probe, CALIBRATION_SAMPLES));
         Circuit {
             plan: self.clone(),
             threshold,
@@ -550,7 +529,7 @@ impl CircuitPlan {
 /// outputs.
 pub struct Circuit {
     plan: CircuitPlan,
-    threshold: u64,
+    threshold: Option<u64>,
 }
 
 impl fmt::Debug for Circuit {
@@ -579,12 +558,6 @@ impl Circuit {
     /// Number of designated outputs.
     pub fn output_count(&self) -> usize {
         self.plan.outputs.len()
-    }
-
-    /// The read threshold decided at instantiation time (calibrated unless
-    /// the pre-plan binding path was used).
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// Runs the circuit: initializes every gate output, stores
@@ -640,18 +613,13 @@ impl Circuit {
         for &pc in &self.plan.activations {
             s.run_at(pc);
         }
-        Ok(self
-            .plan
-            .output_addrs
-            .iter()
-            .map(|&addr| {
-                let delay = s.timed_read_tsc(addr);
-                GateReading {
-                    bit: delay < self.threshold,
-                    delay,
-                }
-            })
-            .collect())
+        Ok(self.threshold.map_or_else(Vec::new, |threshold| {
+            self.plan
+                .output_addrs
+                .iter()
+                .map(|&addr| decode(s, addr, threshold))
+                .collect()
+        }))
     }
 
     /// Reference (architectural) evaluation of the circuit's function —
@@ -866,28 +834,6 @@ mod tests {
         // xor = and_or (level 1) -> not (level 2) -> and (level 3).
         assert_eq!(plan.gate_count(), 3);
         assert_eq!(plan.depth(), 3);
-    }
-
-    #[test]
-    fn plan_instantiate_matches_per_unit_binding() {
-        let (_m, mut lay) = setup();
-        let mut cb = CircuitBuilder::new();
-        let a = cb.input(&mut lay).unwrap();
-        let b = cb.input(&mut lay).unwrap();
-        let q = cb.xor(&mut lay, a, b).unwrap();
-        cb.mark_output(q);
-        let spec = cb.finish().unwrap();
-        let mut m1 = Machine::new(MachineConfig::quiet(), 7);
-        let mut m2 = Machine::new(MachineConfig::quiet(), 7);
-        let fast = spec.instantiate(&mut m1);
-        let slow = spec.instantiate_per_unit(&mut m2);
-        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-            assert_eq!(
-                fast.run(&mut m1, &[x, y]).unwrap(),
-                slow.run(&mut m2, &[x, y]).unwrap(),
-                "inputs ({x}, {y})"
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::gate::{check_arity, GateReading, GateSpec, ProgramUnit, WeirdGate, READ_THRESHOLD};
+use crate::gate::{check_arity, decode, GateReading, GateSpec, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
@@ -110,15 +110,6 @@ impl BranchBlock {
     /// Flushes the branch condition so resolution opens a long window.
     fn arm<S: Substrate + ?Sized>(&self, s: &mut S) {
         s.flush_addr(self.cond);
-    }
-}
-
-/// Reads the gate output: timed load against [`READ_THRESHOLD`].
-fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
-    let delay = s.timed_read_tsc(out);
-    GateReading {
-        bit: delay < READ_THRESHOLD,
-        delay,
     }
 }
 
@@ -218,6 +209,7 @@ fn emit_double_block(
 pub struct BpAnd {
     block: BranchBlock,
     out: u64,
+    threshold: u64,
 }
 
 impl BpAnd {
@@ -239,7 +231,11 @@ impl BpAnd {
         )?;
         let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
         Ok(GateSpec::new(
-            Self { block, out },
+            Self {
+                block,
+                out,
+                threshold: 0,
+            },
             vec![gate_unit, train_unit],
         ))
     }
@@ -261,7 +257,7 @@ impl BpAnd {
         s.flush_addr(self.out); // output := 0
         self.block.arm(s);
         s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -295,6 +291,7 @@ impl WeirdGate for BpAnd {
 pub struct BpNand {
     block: BranchBlock,
     out: u64,
+    threshold: u64,
 }
 
 impl BpNand {
@@ -310,7 +307,11 @@ impl BpNand {
             emit_single_block(lay, cond, Inst::Flush { addr: out as u32 })?;
         let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
         Ok(GateSpec::new(
-            Self { block, out },
+            Self {
+                block,
+                out,
+                threshold: 0,
+            },
             vec![gate_unit, train_unit],
         ))
     }
@@ -332,7 +333,7 @@ impl BpNand {
         s.timed_read(self.out); // output := 1 (pre-set)
         self.block.arm(s);
         s.run_at(self.block.branch_pc);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -365,6 +366,7 @@ pub struct BpOr {
     block1: BranchBlock,
     block2: BranchBlock,
     out: u64,
+    threshold: u64,
 }
 
 impl BpOr {
@@ -385,6 +387,7 @@ impl BpOr {
                 block1,
                 block2,
                 out,
+                threshold: 0,
             },
             vec![gate_unit, train1, train2],
         ))
@@ -410,7 +413,7 @@ impl BpOr {
         self.block1.arm(s);
         self.block2.arm(s);
         s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -443,6 +446,7 @@ pub struct BpAndAndOr {
     block1: BranchBlock,
     block2: BranchBlock,
     out: u64,
+    threshold: u64,
 }
 
 impl BpAndAndOr {
@@ -463,6 +467,7 @@ impl BpAndAndOr {
                 block1,
                 block2,
                 out,
+                threshold: 0,
             },
             vec![gate_unit, train1, train2],
         ))
@@ -497,7 +502,7 @@ impl BpAndAndOr {
         self.block1.arm(s);
         self.block2.arm(s);
         s.run_at(self.block1.branch_pc);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -519,6 +524,8 @@ impl WeirdGate for BpAndAndOr {
         Ok(self.execute_reading(s, inputs[0], inputs[1], inputs[2], inputs[3]))
     }
 }
+
+bind_on_out!(BpAnd => out, BpNand => out, BpOr => out, BpAndAndOr => out);
 
 #[cfg(test)]
 mod tests {

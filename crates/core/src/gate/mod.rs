@@ -22,13 +22,41 @@
 //!    templates. Build one with `Gate::spec(&mut lay)`.
 //! 2. An **instance** is the gate bound to a backend:
 //!    `spec.instantiate(&mut substrate)` installs and warms the programs on
-//!    any [`Substrate`] and returns the runnable gate value. This is the
-//!    only gate constructor: `Gate::spec(&mut lay)?.instantiate(&mut s)`
-//!    builds and binds in one expression.
+//!    any [`Substrate`], calibrates the hit/miss threshold on the gate's
+//!    output line, and returns the runnable gate value. This is the only
+//!    gate constructor: `Gate::spec(&mut lay)?.instantiate(&mut s)` builds
+//!    and binds in one expression.
 //!
 //! The same spec can be instantiated on any number of backends (the
 //! emulation detector does exactly this) or on every shard of a
 //! [`crate::exec::ShardedExecutor`].
+//!
+//! # Decoding
+//!
+//! A weird register can only be read against the hit/miss boundary of the
+//! backend it lives on (§6.2). This module owns that boundary:
+//! [`calibrate_threshold`] measures it, and every gate and circuit output
+//! is decoded by one function against the threshold its bound gate or
+//! circuit carries; a redundancy vote takes the bit of its median-delay
+//! reading. No decision uses a frozen constant, so a gate is correct on any
+//! backend whose hits and misses differ.
+
+/// Implements the binding step for gates with a `threshold` field and one
+/// output line (`$gate => $out`). A spec's gate holds threshold 0 until
+/// [`GateSpec::instantiate`] calibrates it.
+macro_rules! bind_on_out {
+    ($($gate:ty => $out:ident),* $(,)?) => {$(
+        impl crate::gate::sealed::Bind for $gate {
+            fn out_line(&self) -> u64 {
+                self.$out
+            }
+
+            fn with_threshold(self, threshold: u64) -> Self {
+                Self { threshold, ..self }
+            }
+        }
+    )*};
+}
 
 pub mod bp;
 pub mod tsx;
@@ -39,10 +67,54 @@ use crate::error::{CoreError, Result};
 use crate::substrate::Substrate;
 use uwm_sim::isa::Program;
 
-/// Default decision threshold (cycles) separating hit-like from miss-like
-/// output reads, `rdtscp` overhead included. See
-/// [`crate::skelly::calibrate_threshold`] for a machine-specific value.
-pub const READ_THRESHOLD: u64 = 130;
+/// Timed reads per side when calibrating a threshold (odd, so the median
+/// is a real sample).
+pub(crate) const CALIBRATION_SAMPLES: usize = 33;
+
+/// Calibrates the hit/miss decision threshold on `s` by sampling timed
+/// misses and hits of a scratch line and returning the midpoint of the
+/// medians — the boundary visible in the paper's Figures 7–8.
+pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples: usize) -> u64 {
+    assert!(samples > 0, "need at least one sample");
+    let mut misses = Vec::with_capacity(samples);
+    let mut hits = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        s.flush_addr(probe);
+        misses.push(s.timed_read_tsc(probe));
+        hits.push(s.timed_read_tsc(probe));
+    }
+    misses.sort_unstable();
+    hits.sort_unstable();
+    let miss_med = misses[misses.len() / 2];
+    let hit_med = hits[hits.len() / 2];
+    hit_med + (miss_med.saturating_sub(hit_med)) / 2
+}
+
+/// Times one read of `line` and decodes it against `threshold`: a hit-like
+/// (faster) read is logic 1. The one place a delay meets a threshold.
+pub(crate) fn decode<S: Substrate + ?Sized>(s: &mut S, line: u64, threshold: u64) -> GateReading {
+    let delay = s.timed_read_tsc(line);
+    GateReading {
+        bit: delay < threshold,
+        delay,
+    }
+}
+
+pub(crate) mod sealed {
+    /// The binding step of [`super::GateSpec::instantiate`]: which line a
+    /// gate's threshold is calibrated on, and how the calibrated value
+    /// enters the gate. Implemented by every gate and by the skelly's gate
+    /// set, which calibrates once for all ten.
+    pub trait Bind {
+        /// The output line the gate reads (the AND output for `TsxAndOr`).
+        fn out_line(&self) -> u64;
+
+        /// The gate, decoding every output against `threshold`.
+        fn with_threshold(self, threshold: u64) -> Self
+        where
+            Self: Sized;
+    }
+}
 
 /// One assembled program fragment of a gate spec, with an optional code
 /// range to warm at instantiation time.
@@ -88,20 +160,19 @@ impl<G: Copy> GateSpec<G> {
         Self { gate, units }
     }
 
-    /// The wired gate value (addresses only; not runnable until
-    /// instantiated somewhere).
-    pub fn gate(&self) -> G {
+    /// Appends the spec's program fragments to `units` and returns the
+    /// wired gate value (composites — circuits, skelly — pool fragments).
+    pub(crate) fn into_gate(self, units: &mut Vec<ProgramUnit>) -> G {
+        units.extend(self.units);
         self.gate
     }
+}
 
-    /// The program fragments, in install order.
-    pub fn units(&self) -> &[ProgramUnit] {
-        &self.units
-    }
-
+impl<G: sealed::Bind + Copy> GateSpec<G> {
     /// Binds the spec to an execution backend: installs every program
     /// fragment and warms the declared code ranges, in build order, then
-    /// returns the runnable gate.
+    /// calibrates the hit/miss threshold on the gate's output line and
+    /// returns the runnable gate, decoding against that threshold.
     pub fn instantiate<S: Substrate + ?Sized>(&self, s: &mut S) -> G {
         for u in &self.units {
             s.install_program(&u.program);
@@ -109,28 +180,8 @@ impl<G: Copy> GateSpec<G> {
                 s.warm_code_range(base, end);
             }
         }
-        self.gate
-    }
-
-    /// Splits the spec into the gate value and its program fragments
-    /// (composite structures — circuits, skelly — pool fragments).
-    pub(crate) fn into_parts(self) -> (G, Vec<ProgramUnit>) {
-        (self.gate, self.units)
-    }
-
-    /// Merges another spec's fragments after this one's, combining the two
-    /// gate values (composite gate construction).
-    pub(crate) fn zip<H: Copy, K: Copy>(
-        self,
-        other: GateSpec<H>,
-        f: impl FnOnce(G, H) -> K,
-    ) -> GateSpec<K> {
-        let mut units = self.units;
-        units.extend(other.units);
-        GateSpec {
-            gate: f(self.gate, other.gate),
-            units,
-        }
+        let threshold = calibrate_threshold(s, self.gate.out_line(), CALIBRATION_SAMPLES);
+        self.gate.with_threshold(threshold)
     }
 }
 
@@ -140,8 +191,9 @@ impl<G: Copy> GateSpec<G> {
 /// [`bp::BpAnd::execute`]) are the ergonomic API; this trait exists for
 /// generic harnesses (accuracy sweeps, redundancy voting, benchmarks). It
 /// is object-safe and backend-agnostic: harnesses drive gates through
-/// `&mut dyn Substrate`.
-pub trait WeirdGate {
+/// `&mut dyn Substrate`. It is sealed: only this crate's gates, which
+/// carry their backend's calibrated threshold, implement it.
+pub trait WeirdGate: sealed::Bind {
     /// Gate name as used in the paper's tables (e.g. `"AND"`, `"TSX_XOR"`).
     fn name(&self) -> &'static str;
 

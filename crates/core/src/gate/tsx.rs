@@ -25,7 +25,8 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::gate::{check_arity, GateReading, GateSpec, ProgramUnit, WeirdGate, READ_THRESHOLD};
+use crate::gate::sealed::Bind;
+use crate::gate::{check_arity, decode, GateReading, GateSpec, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{AluOp, Assembler, Inst, Operand};
@@ -95,14 +96,6 @@ fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
     }
 }
 
-fn read_out<S: Substrate + ?Sized>(s: &mut S, out: u64) -> GateReading {
-    let delay = s.timed_read_tsc(out);
-    GateReading {
-        bit: delay < READ_THRESHOLD,
-        delay,
-    }
-}
-
 /// The TSX `ASSIGN` gate: `out := in`.
 ///
 /// The minimal weird gate — a single dependent dereference racing the
@@ -127,6 +120,7 @@ pub struct TsxAssign {
     pc: u64,
     input: u64,
     out: u64,
+    threshold: u64,
 }
 
 impl TsxAssign {
@@ -154,7 +148,15 @@ impl TsxAssign {
             });
             emit_deref(a, R_A, R_T0, out);
         })?;
-        Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
+        Ok(GateSpec::new(
+            Self {
+                pc,
+                input,
+                out,
+                threshold: 0,
+            },
+            vec![unit],
+        ))
     }
 
     /// Input register address.
@@ -187,7 +189,7 @@ impl TsxAssign {
         self.prepare(s);
         set_dc(s, self.input, input);
         self.activate(s);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -224,6 +226,7 @@ pub struct TsxAnd {
     in_a: u64,
     in_b: u64,
     out: u64,
+    threshold: u64,
 }
 
 impl TsxAnd {
@@ -268,6 +271,7 @@ impl TsxAnd {
                 in_a,
                 in_b,
                 out,
+                threshold: 0,
             },
             vec![unit],
         ))
@@ -314,7 +318,7 @@ impl TsxAnd {
         set_dc(s, self.in_a, a);
         set_dc(s, self.in_b, b);
         self.activate(s);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -351,6 +355,7 @@ pub struct TsxOr {
     in_a: u64,
     in_b: u64,
     out: u64,
+    threshold: u64,
 }
 
 impl TsxOr {
@@ -390,6 +395,7 @@ impl TsxOr {
                 in_a,
                 in_b,
                 out,
+                threshold: 0,
             },
             vec![unit],
         ))
@@ -436,7 +442,7 @@ impl TsxOr {
         set_dc(s, self.in_a, a);
         set_dc(s, self.in_b, b);
         self.activate(s);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -475,6 +481,7 @@ pub struct TsxAndOr {
     in_b: u64,
     out_and: u64,
     out_or: u64,
+    threshold: u64,
 }
 
 impl TsxAndOr {
@@ -529,6 +536,7 @@ impl TsxAndOr {
                 in_b,
                 out_and,
                 out_or,
+                threshold: 0,
             },
             vec![unit],
         ))
@@ -582,7 +590,10 @@ impl TsxAndOr {
         set_dc(s, self.in_a, a);
         set_dc(s, self.in_b, b);
         self.activate(s);
-        (read_out(s, self.out_and), read_out(s, self.out_or))
+        (
+            decode(s, self.out_and, self.threshold),
+            decode(s, self.out_or, self.threshold),
+        )
     }
 }
 
@@ -626,6 +637,7 @@ pub struct TsxNot {
     pc: u64,
     input: u64,
     out: u64,
+    threshold: u64,
 }
 
 impl TsxNot {
@@ -656,7 +668,15 @@ impl TsxNot {
                 offset: out as u32,
             });
         })?;
-        Ok(GateSpec::new(Self { pc, input, out }, vec![unit]))
+        Ok(GateSpec::new(
+            Self {
+                pc,
+                input,
+                out,
+                threshold: 0,
+            },
+            vec![unit],
+        ))
     }
 
     /// Input register address.
@@ -690,7 +710,7 @@ impl TsxNot {
         self.prepare(s);
         set_dc(s, self.input, input);
         self.activate(s);
-        read_out(s, self.out)
+        decode(s, self.out, self.threshold)
     }
 }
 
@@ -756,12 +776,13 @@ impl TsxXor {
         let d_and = lay.alloc_var()?;
         let d_or = lay.alloc_var()?;
         let d_not = lay.alloc_var()?;
-        let and_or = TsxAndOr::spec_wired(lay, in_a, in_b, d_and, d_or)?;
-        let not = TsxNot::spec_wired(lay, d_and, d_not)?;
-        let and2 = TsxAnd::spec_wired(lay, d_or, d_not, out)?;
-        Ok(and_or
-            .zip(not, |and_or, not| (and_or, not))
-            .zip(and2, |(and_or, not), and2| Self { and_or, not, and2 }))
+        let mut units = Vec::new();
+        let gate = Self {
+            and_or: TsxAndOr::spec_wired(lay, in_a, in_b, d_and, d_or)?.into_gate(&mut units),
+            not: TsxNot::spec_wired(lay, d_and, d_not)?.into_gate(&mut units),
+            and2: TsxAnd::spec_wired(lay, d_or, d_not, out)?.into_gate(&mut units),
+        };
+        Ok(GateSpec::new(gate, units))
     }
 
     /// First input register address.
@@ -810,7 +831,7 @@ impl TsxXor {
         set_dc(s, self.and_or.in_a(), a);
         set_dc(s, self.and_or.in_b(), b);
         self.activate(s);
-        read_out(s, self.and2.out())
+        decode(s, self.and2.out, self.and2.threshold)
     }
 }
 
@@ -830,6 +851,28 @@ impl WeirdGate for TsxXor {
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
         check_arity(self.name(), 2, inputs)?;
         Ok(self.execute_reading(s, inputs[0], inputs[1]))
+    }
+}
+
+bind_on_out!(
+    TsxAssign => out,
+    TsxAnd => out,
+    TsxOr => out,
+    TsxAndOr => out_and,
+    TsxNot => out,
+);
+
+impl Bind for TsxXor {
+    fn out_line(&self) -> u64 {
+        self.and2.out
+    }
+
+    fn with_threshold(self, threshold: u64) -> Self {
+        Self {
+            and_or: self.and_or.with_threshold(threshold),
+            not: self.not.with_threshold(threshold),
+            and2: self.and2.with_threshold(threshold),
+        }
     }
 }
 
@@ -903,9 +946,10 @@ mod tests {
     }
 
     /// One spec, two backends: on the simulator the gate computes; on the
-    /// flat emulator the post-fault window does not exist, so the output
-    /// read is hit-like regardless of input — the gate degenerates. This
-    /// asymmetry is the emulation-detection signal of §7.
+    /// flat emulator the post-fault window does not exist and every read
+    /// takes the same time, so the output no longer depends on the input —
+    /// the gate degenerates. This asymmetry is the emulation-detection
+    /// signal of §7.
     #[test]
     fn same_spec_instantiates_on_both_backends() {
         let mut lay = Layout::new(crate::substrate::flat::DEFAULT_ALIAS_STRIDE);
@@ -917,11 +961,18 @@ mod tests {
 
         let mut f = FlatEmulator::new();
         let g_flat = spec.instantiate(&mut f);
-        assert_eq!(g_sim, g_flat, "specs bind the same wiring everywhere");
-        for (a, b) in [(false, false), (false, true), (true, false)] {
-            assert!(
-                g_flat.execute(&mut f, a, b),
-                "flat backend always reads hit-like: gate output degenerates to 1"
+        assert_eq!(
+            g_sim.with_threshold(0),
+            g_flat.with_threshold(0),
+            "specs bind the same wiring everywhere"
+        );
+        let first = g_flat.execute_reading(&mut f, false, false);
+        assert!(!first.bit, "flat reads sit at the threshold: 0");
+        for (a, b) in [(false, true), (true, false), (true, true)] {
+            assert_eq!(
+                g_flat.execute_reading(&mut f, a, b),
+                first,
+                "flat backend: output bit and delay are input-independent"
             );
         }
     }
@@ -981,7 +1032,7 @@ mod tests {
         g.activate(&mut m);
         g.activate(&mut m);
         g.activate(&mut m);
-        let r = read_out(&mut m, g.out());
+        let r = decode(&mut m, g.out(), g.threshold);
         assert!(r.bit);
     }
 }

@@ -7,7 +7,7 @@ use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
 
 /// Default hit/miss decision threshold in cycles. Roughly midway between
-/// an L1 hit and a DRAM miss; [`crate::skelly::calibrate_threshold`]
+/// an L1 hit and a DRAM miss; [`crate::gate::calibrate_threshold`]
 /// computes a machine-specific value.
 pub const DEFAULT_THRESHOLD: u64 = 100;
 

@@ -13,8 +13,11 @@ mod redundancy;
 
 pub use redundancy::{CounterBank, GateCounters, Redundancy};
 
+pub use crate::gate::calibrate_threshold;
+
 use crate::error::Result;
 use crate::gate::bp::{BpAnd, BpAndAndOr, BpNand, BpOr};
+use crate::gate::sealed::Bind;
 use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr, TsxXor};
 use crate::gate::{GateReading, GateSpec, WeirdGate};
 use crate::layout::Layout;
@@ -22,28 +25,9 @@ use crate::substrate::flat::DEFAULT_ALIAS_STRIDE;
 use crate::substrate::Substrate;
 use uwm_sim::machine::{Machine, MachineConfig};
 
-/// Calibrates the hit/miss decision threshold on `s` by sampling timed
-/// misses and hits of a scratch line and returning the midpoint of the
-/// medians — the boundary visible in the paper's Figures 7–8.
-pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples: usize) -> u64 {
-    assert!(samples > 0, "need at least one sample");
-    let mut misses = Vec::with_capacity(samples);
-    let mut hits = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        s.flush_addr(probe);
-        misses.push(s.timed_read_tsc(probe));
-        hits.push(s.timed_read_tsc(probe));
-    }
-    misses.sort_unstable();
-    hits.sort_unstable();
-    let miss_med = misses[misses.len() / 2];
-    let hit_med = hits[hits.len() / 2];
-    hit_med + (miss_med.saturating_sub(hit_med)) / 2
-}
-
-/// The machine-independent half of a [`Skelly`]: one [`GateSpec`] per gate,
-/// built against a shared [`Layout`] in a fixed order, plus the calibration
-/// probe address.
+/// The machine-independent half of a [`Skelly`]: every gate built against
+/// a shared [`Layout`] in a fixed order, their program fragments in that
+/// order, and the calibration probe address.
 ///
 /// A spec is built **once** and bound many times — on every shard of a
 /// [`crate::exec::ShardedExecutor`], on freshly seeded machines for
@@ -66,17 +50,7 @@ pub fn calibrate_threshold<S: Substrate + ?Sized>(s: &mut S, probe: u64, samples
 #[derive(Debug, Clone)]
 pub struct SkellySpec {
     lay: Layout,
-    probe: u64,
-    bp_and: GateSpec<BpAnd>,
-    bp_or: GateSpec<BpOr>,
-    bp_nand: GateSpec<BpNand>,
-    bp_aao: GateSpec<BpAndAndOr>,
-    tsx_assign: GateSpec<TsxAssign>,
-    tsx_and: GateSpec<TsxAnd>,
-    tsx_or: GateSpec<TsxOr>,
-    tsx_and_or: GateSpec<TsxAndOr>,
-    tsx_not: GateSpec<TsxNot>,
-    tsx_xor: GateSpec<TsxXor>,
+    gates: GateSpec<Gates>,
 }
 
 impl SkellySpec {
@@ -88,30 +62,26 @@ impl SkellySpec {
     /// Fails if gate construction exhausts the layout or assembly fails.
     pub fn new() -> Result<Self> {
         let mut lay = Layout::new(DEFAULT_ALIAS_STRIDE);
-        let bp_and = BpAnd::spec(&mut lay)?;
-        let bp_or = BpOr::spec(&mut lay)?;
-        let bp_nand = BpNand::spec(&mut lay)?;
-        let bp_aao = BpAndAndOr::spec(&mut lay)?;
-        let tsx_assign = TsxAssign::spec(&mut lay)?;
-        let tsx_and = TsxAnd::spec(&mut lay)?;
-        let tsx_or = TsxOr::spec(&mut lay)?;
-        let tsx_and_or = TsxAndOr::spec(&mut lay)?;
-        let tsx_not = TsxNot::spec(&mut lay)?;
-        let tsx_xor = TsxXor::spec(&mut lay)?;
-        let probe = lay.alloc_var()?;
+        let mut units = Vec::new();
+        // Fields are evaluated in the order written: that is the layout
+        // allocation and install order.
+        let gates = Gates {
+            bp_and: BpAnd::spec(&mut lay)?.into_gate(&mut units),
+            bp_or: BpOr::spec(&mut lay)?.into_gate(&mut units),
+            bp_nand: BpNand::spec(&mut lay)?.into_gate(&mut units),
+            bp_aao: BpAndAndOr::spec(&mut lay)?.into_gate(&mut units),
+            tsx_assign: TsxAssign::spec(&mut lay)?.into_gate(&mut units),
+            tsx_and: TsxAnd::spec(&mut lay)?.into_gate(&mut units),
+            tsx_or: TsxOr::spec(&mut lay)?.into_gate(&mut units),
+            tsx_and_or: TsxAndOr::spec(&mut lay)?.into_gate(&mut units),
+            tsx_not: TsxNot::spec(&mut lay)?.into_gate(&mut units),
+            tsx_xor: TsxXor::spec(&mut lay)?.into_gate(&mut units),
+            probe: lay.alloc_var()?,
+            threshold: 0,
+        };
         Ok(Self {
             lay,
-            probe,
-            bp_and,
-            bp_or,
-            bp_nand,
-            bp_aao,
-            tsx_assign,
-            tsx_and,
-            tsx_or,
-            tsx_and_or,
-            tsx_not,
-            tsx_xor,
+            gates: GateSpec::new(gates, units),
         })
     }
 
@@ -122,41 +92,86 @@ impl SkellySpec {
     }
 
     /// Binds the spec to backend `m`: installs and warms every gate
-    /// program in build order, calibrates the timing threshold, and
-    /// returns the runnable framework that owns `m`.
+    /// program in build order, calibrates the timing threshold once on the
+    /// probe line, and returns the runnable framework that owns `m`, every
+    /// gate decoding against that one threshold.
     pub fn bind<S: Substrate>(&self, mut m: S) -> Skelly<S> {
         debug_assert_eq!(
             m.alias_stride(),
             self.lay.alias_stride(),
             "spec stride must match the backend's predictor"
         );
-        let bp_and = self.bp_and.instantiate(&mut m);
-        let bp_or = self.bp_or.instantiate(&mut m);
-        let bp_nand = self.bp_nand.instantiate(&mut m);
-        let bp_aao = self.bp_aao.instantiate(&mut m);
-        let tsx_assign = self.tsx_assign.instantiate(&mut m);
-        let tsx_and = self.tsx_and.instantiate(&mut m);
-        let tsx_or = self.tsx_or.instantiate(&mut m);
-        let tsx_and_or = self.tsx_and_or.instantiate(&mut m);
-        let tsx_not = self.tsx_not.instantiate(&mut m);
-        let tsx_xor = self.tsx_xor.instantiate(&mut m);
-        let threshold = calibrate_threshold(&mut m, self.probe, 33);
+        let gates = self.gates.instantiate(&mut m);
         Skelly {
             m,
             lay: self.lay.clone(),
-            threshold,
             red: Redundancy::default(),
             counters: CounterBank::new(),
-            bp_and,
-            bp_or,
-            bp_nand,
-            bp_aao,
-            tsx_assign,
-            tsx_and,
-            tsx_or,
-            tsx_and_or,
-            tsx_not,
-            tsx_xor,
+            gates,
+        }
+    }
+}
+
+/// One instance of every weird gate, bound together: the skelly calibrates
+/// once, on its own probe line, and every gate decodes against that value.
+#[derive(Debug, Clone, Copy)]
+struct Gates {
+    bp_and: BpAnd,
+    bp_or: BpOr,
+    bp_nand: BpNand,
+    bp_aao: BpAndAndOr,
+    tsx_assign: TsxAssign,
+    tsx_and: TsxAnd,
+    tsx_or: TsxOr,
+    tsx_and_or: TsxAndOr,
+    tsx_not: TsxNot,
+    tsx_xor: TsxXor,
+    probe: u64,
+    threshold: u64,
+}
+
+impl Bind for Gates {
+    fn out_line(&self) -> u64 {
+        self.probe
+    }
+
+    fn with_threshold(self, threshold: u64) -> Self {
+        Self {
+            bp_and: self.bp_and.with_threshold(threshold),
+            bp_or: self.bp_or.with_threshold(threshold),
+            bp_nand: self.bp_nand.with_threshold(threshold),
+            bp_aao: self.bp_aao.with_threshold(threshold),
+            tsx_assign: self.tsx_assign.with_threshold(threshold),
+            tsx_and: self.tsx_and.with_threshold(threshold),
+            tsx_or: self.tsx_or.with_threshold(threshold),
+            tsx_and_or: self.tsx_and_or.with_threshold(threshold),
+            tsx_not: self.tsx_not.with_threshold(threshold),
+            tsx_xor: self.tsx_xor.with_threshold(threshold),
+            probe: self.probe,
+            threshold,
+        }
+    }
+}
+
+impl Gates {
+    /// The gate with paper-table name `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown name (a harness bug, not an input condition).
+    fn named(&self, name: &str) -> &dyn WeirdGate {
+        match name {
+            "AND" => &self.bp_and,
+            "OR" => &self.bp_or,
+            "NAND" => &self.bp_nand,
+            "AND_AND_OR" => &self.bp_aao,
+            "TSX_ASSIGN" => &self.tsx_assign,
+            "TSX_AND" => &self.tsx_and,
+            "TSX_OR" => &self.tsx_or,
+            "TSX_AND_OR" => &self.tsx_and_or,
+            "TSX_NOT" => &self.tsx_not,
+            "TSX_XOR" => &self.tsx_xor,
+            other => panic!("unknown gate name `{other}`"),
         }
     }
 }
@@ -178,19 +193,9 @@ impl SkellySpec {
 pub struct Skelly<S: Substrate = Machine> {
     m: S,
     lay: Layout,
-    threshold: u64,
     red: Redundancy,
     counters: CounterBank,
-    bp_and: BpAnd,
-    bp_or: BpOr,
-    bp_nand: BpNand,
-    bp_aao: BpAndAndOr,
-    tsx_assign: TsxAssign,
-    tsx_and: TsxAnd,
-    tsx_or: TsxOr,
-    tsx_and_or: TsxAndOr,
-    tsx_not: TsxNot,
-    tsx_xor: TsxXor,
+    gates: Gates,
 }
 
 impl Skelly {
@@ -241,7 +246,7 @@ impl<S: Substrate> Skelly<S> {
 
     /// The calibrated hit/miss threshold in cycles.
     pub fn threshold(&self) -> u64 {
-        self.threshold
+        self.gates.threshold
     }
 
     /// The underlying backend (analyzer probes, cycle counts).
@@ -280,28 +285,25 @@ impl<S: Substrate> Skelly<S> {
     // Voted logical operations (BP/IC gate family — §6.3's gates)
     // ------------------------------------------------------------------
 
-    fn vote(&mut self, gate: &dyn WeirdGate, inputs: &[bool]) -> bool {
+    fn vote(&mut self, gate: fn(&Gates) -> &dyn WeirdGate, inputs: &[bool]) -> bool {
         self.red
-            .vote(gate, &mut self.m, inputs, &mut self.counters)
+            .vote(gate(&self.gates), &mut self.m, inputs, &mut self.counters)
             .expect("arity is fixed by the caller")
     }
 
     /// `a & b` on the branch-predictor AND gate (Figure 1).
     pub fn and(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_and;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.bp_and, &[a, b])
     }
 
     /// `a | b` on the branch-predictor OR gate (Figure 2).
     pub fn or(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_or;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.bp_or, &[a, b])
     }
 
     /// `!(a & b)` on the NAND gate.
     pub fn nand(&mut self, a: bool, b: bool) -> bool {
-        let g = self.bp_nand;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.bp_nand, &[a, b])
     }
 
     /// `!a`, as `nand(a, a)`.
@@ -311,8 +313,7 @@ impl<S: Substrate> Skelly<S> {
 
     /// `(a & b) | (c & d)` on the composed AND-AND-OR gate.
     pub fn and_and_or(&mut self, a: bool, b: bool, c: bool, d: bool) -> bool {
-        let g = self.bp_aao;
-        self.vote(&g, &[a, b, c, d])
+        self.vote(|g| &g.bp_aao, &[a, b, c, d])
     }
 
     /// `a ^ b` from four NAND gates — the construction behind the NAND
@@ -330,32 +331,27 @@ impl<S: Substrate> Skelly<S> {
 
     /// `a` through the TSX assignment gate.
     pub fn tsx_assign(&mut self, a: bool) -> bool {
-        let g = self.tsx_assign;
-        self.vote(&g, &[a])
+        self.vote(|g| &g.tsx_assign, &[a])
     }
 
     /// `a & b` on the TSX AND gate.
     pub fn tsx_and(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_and;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.tsx_and, &[a, b])
     }
 
     /// `a | b` on the TSX OR gate.
     pub fn tsx_or(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_or;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.tsx_or, &[a, b])
     }
 
     /// `!a` on the TSX NOT gate.
     pub fn tsx_not(&mut self, a: bool) -> bool {
-        let g = self.tsx_not;
-        self.vote(&g, &[a])
+        self.vote(|g| &g.tsx_not, &[a])
     }
 
     /// `a ^ b` on the three-transaction TSX XOR circuit (§4.1).
     pub fn tsx_xor(&mut self, a: bool, b: bool) -> bool {
-        let g = self.tsx_xor;
-        self.vote(&g, &[a, b])
+        self.vote(|g| &g.tsx_xor, &[a, b])
     }
 
     // ------------------------------------------------------------------
@@ -372,82 +368,27 @@ impl<S: Substrate> Skelly<S> {
     /// Returns an arity error for wrong input counts; panics on an unknown
     /// name (a harness bug, not an input condition).
     pub fn execute_named(&mut self, name: &str, inputs: &[bool]) -> Result<GateReading> {
-        match name {
-            "AND" => {
-                let g = self.bp_and;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "OR" => {
-                let g = self.bp_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "NAND" => {
-                let g = self.bp_nand;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "AND_AND_OR" => {
-                let g = self.bp_aao;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_ASSIGN" => {
-                let g = self.tsx_assign;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_AND" => {
-                let g = self.tsx_and;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_OR" => {
-                let g = self.tsx_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_AND_OR" => {
-                let g = self.tsx_and_or;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_NOT" => {
-                let g = self.tsx_not;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            "TSX_XOR" => {
-                let g = self.tsx_xor;
-                g.execute_timed(&mut self.m, inputs)
-            }
-            other => panic!("unknown gate name `{other}`"),
-        }
+        self.gates.named(name).execute_timed(&mut self.m, inputs)
     }
 
     /// Reference truth for a named gate (see [`Skelly::execute_named`]).
     pub fn truth_named(&self, name: &str, inputs: &[bool]) -> bool {
-        match name {
-            "AND" | "TSX_AND" | "TSX_AND_OR" => inputs[0] & inputs[1],
-            "OR" | "TSX_OR" => inputs[0] | inputs[1],
-            "NAND" => !(inputs[0] & inputs[1]),
-            "AND_AND_OR" => (inputs[0] & inputs[1]) | (inputs[2] & inputs[3]),
-            "TSX_ASSIGN" => inputs[0],
-            "TSX_NOT" => !inputs[0],
-            "TSX_XOR" => inputs[0] ^ inputs[1],
-            other => panic!("unknown gate name `{other}`"),
-        }
-    }
-
-    /// The TSX AND-OR gate instance (both-outputs measurements, Table 6).
-    pub fn tsx_and_or_gate(&self) -> TsxAndOr {
-        self.tsx_and_or
-    }
-
-    /// The TSX XOR circuit instance (Table 7 measurements).
-    pub fn tsx_xor_gate(&self) -> TsxXor {
-        self.tsx_xor
+        self.gates.named(name).truth(inputs)
     }
 
     /// Arity of a named gate (see [`Skelly::execute_named`]).
     pub fn arity_named(&self, name: &str) -> usize {
-        match name {
-            "AND_AND_OR" => 4,
-            "TSX_ASSIGN" | "TSX_NOT" => 1,
-            _ => 2,
-        }
+        self.gates.named(name).arity()
+    }
+
+    /// The TSX AND-OR gate instance (both-outputs measurements, Table 6).
+    pub fn tsx_and_or_gate(&self) -> TsxAndOr {
+        self.gates.tsx_and_or
+    }
+
+    /// The TSX XOR circuit instance (Table 7 measurements).
+    pub fn tsx_xor_gate(&self) -> TsxXor {
+        self.gates.tsx_xor
     }
 }
 
@@ -548,17 +489,68 @@ mod tests {
         assert_eq!(bound.machine().cycles(), via_spec.machine().cycles());
 
         // The same spec bound to the flat emulator degenerates: every read
-        // takes the constant hit latency, so every register decodes as 1.
+        // takes the constant hit latency, which is also the calibrated
+        // threshold, so the output no longer depends on the input.
         let mut flat = spec.bind(FlatEmulator::new());
         let lat = flat.machine().latency().clone();
-        let r = flat.execute_named("TSX_ASSIGN", &[false]).unwrap();
-        assert_eq!(r.delay, lat.l1 + lat.rdtscp);
-        assert!(r.bit, "the flat emulator reads a 0 input as 1");
+        let zero = flat.execute_named("TSX_ASSIGN", &[false]).unwrap();
+        let one = flat.execute_named("TSX_ASSIGN", &[true]).unwrap();
+        assert_eq!(zero.delay, lat.l1 + lat.rdtscp);
+        assert_eq!(zero, one, "the flat emulator reads every input alike");
     }
 
+    /// A quiet machine with every latency four times the default: the
+    /// hit/miss boundary moves far from the default one, so only gates and
+    /// circuits decoding against their own calibrated threshold work.
     #[test]
-    fn execute_named_covers_all_gates() {
-        let mut sk = Skelly::quiet(5).unwrap();
+    fn scaled_latency_decodes_against_calibrated_threshold() {
+        use crate::circuit::{adder32_inputs, adder32_outputs, adder32_spec};
+        use crate::gate::bp::BpAnd;
+        use crate::gate::verify_truth_table;
+        use uwm_sim::timing::LatencyConfig;
+
+        let d = LatencyConfig::default();
+        let cfg = MachineConfig {
+            latency: LatencyConfig {
+                l1: 4 * d.l1,
+                l2: 4 * d.l2,
+                l3: 4 * d.l3,
+                dram: 4 * d.dram,
+                alu: 4 * d.alu,
+                mul: 4 * d.mul,
+                div: 4 * d.div,
+                rdtscp: 4 * d.rdtscp,
+                clflush: 4 * d.clflush,
+                mispredict_penalty: 4 * d.mispredict_penalty,
+                btb_miss_penalty: 4 * d.btb_miss_penalty,
+                xbegin: 4 * d.xbegin,
+                xend: 4 * d.xend,
+                xabort: 4 * d.xabort,
+                tsx_spec_window: 4 * d.tsx_spec_window,
+                spec_window_slack: 4 * d.spec_window_slack,
+                vmx_warm: 4 * d.vmx_warm,
+                vmx_cold: 4 * d.vmx_cold,
+            },
+            ..MachineConfig::quiet()
+        };
+
+        assert_named_truth_tables(&mut Skelly::new(cfg.clone(), 0).unwrap());
+
+        let mut m = Machine::new(cfg.clone(), 0);
+        let mut lay = Layout::new(m.predictor().alias_stride());
+        let and = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
+        assert_eq!(verify_truth_table(&and, &mut m).unwrap(), None);
+
+        let mut m = Machine::new(cfg, 0);
+        let mut lay = Layout::new(m.predictor().alias_stride());
+        let adder = adder32_spec(&mut lay).unwrap().instantiate(&mut m);
+        let out = adder.run(&mut m, &adder32_inputs(1234, 4321)).unwrap();
+        assert_eq!(adder32_outputs(&out), (5555, false));
+    }
+
+    /// Every named gate decodes its full truth table through
+    /// [`Skelly::execute_named`].
+    fn assert_named_truth_tables(sk: &mut Skelly) {
         for name in [
             "AND",
             "OR",
@@ -571,10 +563,17 @@ mod tests {
             "TSX_NOT",
             "TSX_XOR",
         ] {
-            let arity = sk.arity_named(name);
-            let inputs = vec![true; arity];
-            let r = sk.execute_named(name, &inputs).unwrap();
-            assert_eq!(r.bit, sk.truth_named(name, &inputs), "gate {name}");
+            let n = sk.arity_named(name);
+            for bits in 0..1u32 << n {
+                let inputs: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+                let r = sk.execute_named(name, &inputs).unwrap();
+                assert_eq!(r.bit, sk.truth_named(name, &inputs), "{name} {inputs:?}");
+            }
         }
+    }
+
+    #[test]
+    fn execute_named_covers_all_gates() {
+        assert_named_truth_tables(&mut Skelly::quiet(5).unwrap());
     }
 }

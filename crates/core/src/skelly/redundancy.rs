@@ -2,8 +2,10 @@
 //!
 //! Single weird-gate executions are 92–99.99 % accurate; a SHA-1 needs
 //! hundreds of thousands of them, so `skelly` executes each logical gate
-//! redundantly: `s` timed executions → median delay → one vote; `n` votes →
-//! k-threshold decision. The paper's SHA-1 runs used `s = 10, k = 3, n = 5`.
+//! redundantly: `s` timed executions → the bit of the median-delay reading
+//! → one vote; `n` votes → k-threshold decision. The paper's SHA-1 runs used
+//! `s = 10, k = 3, n = 5`. The voter knows no threshold: each reading is
+//! already decoded by the gate against its backend's calibrated one.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +25,8 @@ use crate::substrate::Substrate;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Redundancy {
-    /// Timed executions per vote (`s`); the median delay becomes the vote.
+    /// Timed executions per vote (`s`); the bit of the median-delay
+    /// reading becomes the vote.
     pub samples: usize,
     /// Votes per logical gate execution (`n`).
     pub votes: usize,
@@ -89,20 +92,21 @@ impl Redundancy {
         let expected = gate.truth(inputs);
         let counters = bank.entry(gate.name());
         let mut ones = 0usize;
-        let mut delays = Vec::with_capacity(self.samples);
+        let mut readings = Vec::with_capacity(self.samples);
         for _ in 0..self.votes {
-            delays.clear();
+            readings.clear();
             for _ in 0..self.samples {
                 let r = gate.execute_timed(s, inputs)?;
                 counters.raw_total += 1;
                 if r.bit == expected {
                     counters.raw_correct += 1;
                 }
-                delays.push(r.delay);
+                readings.push(r);
             }
-            delays.sort_unstable();
-            let median = delays[delays.len() / 2];
-            let vote = median < crate::gate::READ_THRESHOLD;
+            // A reading's bit is monotone in its delay, so the bit of the
+            // median-delay reading is the gate's own decision on the median.
+            readings.sort_unstable_by_key(|r| r.delay);
+            let vote = readings[readings.len() / 2].bit;
             counters.medians_total += 1;
             if vote == expected {
                 counters.medians_correct += 1;
@@ -220,6 +224,15 @@ mod tests {
     struct FlakyGate {
         fail_every: u64,
         calls: std::cell::Cell<u64>,
+    }
+
+    impl crate::gate::sealed::Bind for FlakyGate {
+        fn out_line(&self) -> u64 {
+            0
+        }
+        fn with_threshold(self, _threshold: u64) -> Self {
+            self
+        }
     }
 
     impl WeirdGate for FlakyGate {
