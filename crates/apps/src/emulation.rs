@@ -19,8 +19,8 @@
 //!   is equally fast, the gates degenerate, verdict [`Platform::Emulated`].
 
 use uwm_core::error::Result;
-use uwm_core::gate::tsx::TsxAssign;
-use uwm_core::gate::GateSpec;
+use uwm_core::gate::tsx::{TsxGate, TsxOp};
+use uwm_core::gate::{GateSpec, WeirdGate};
 use uwm_core::layout::Layout;
 use uwm_core::substrate::{FlatEmulator, Substrate};
 use uwm_sim::machine::{Machine, MachineConfig};
@@ -45,20 +45,21 @@ pub enum Platform {
 /// # Errors
 ///
 /// Fails if gate construction exhausts the layout.
-pub fn probe_spec(lay: &mut Layout) -> Result<GateSpec<TsxAssign>> {
-    TsxAssign::spec(lay)
+pub fn probe_spec(lay: &mut Layout) -> Result<GateSpec<TsxGate>> {
+    TsxGate::spec(lay, TsxOp::Assign)
 }
 
-/// Runs a probe gate instance on `s` and classifies the platform.
+/// Runs a probe gate instance (an assignment, as [`probe_spec`] builds) on
+/// `s` and classifies the platform.
 ///
 /// The probe must exercise *both* logic levels: a flat emulator with
 /// constant load latency reads every weird register as the same value, so
 /// it fails on one of the two (it cannot fail on neither).
-pub fn classify(s: &mut dyn Substrate, gate: &TsxAssign) -> Platform {
+pub fn classify(s: &mut dyn Substrate, gate: &TsxGate) -> Platform {
     let mut correct = 0usize;
     for round in 0..PROBE_ROUNDS {
         let bit = round % 2 == 0;
-        if gate.execute(s, bit) == bit {
+        if gate.execute(s, &[bit]) == Ok(bit) {
             correct += 1;
         }
     }

@@ -8,18 +8,25 @@ use uwm_bench::stats::Summary;
 use uwm_bench::{
     maybe_write_json, parse_args, scaled, sharded_delays, summary_header, summary_row,
 };
+use uwm_core::gate::GateReading;
+use uwm_core::skelly::Skelly;
 
 const COMBOS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+/// Runs the TSX AND-OR gate and reads both outputs, the AND output first.
+fn and_or_readings(sk: &mut Skelly, a: bool, b: bool) -> [GateReading; 2] {
+    let gate = sk.tsx_and_or_gate();
+    let m = sk.machine_mut();
+    gate.run(m, &[a, b]).expect("arity");
+    [gate.read(m, 0), gate.read(m, 1)]
+}
 
 fn main() {
     let args = parse_args();
     let ops = scaled(64_000, args.scale);
     let mut rows = Vec::new();
     let mut measure =
-        |table: &str,
-         label: String,
-         seed: u64,
-         f: &(dyn Fn(&mut uwm_core::skelly::Skelly) -> u64 + Sync)| {
+        |table: &str, label: String, seed: u64, f: &(dyn Fn(&mut Skelly) -> u64 + Sync)| {
             let delays = sharded_delays(ops, seed, args.shards, |sk, _rng| f(sk));
             let s = Summary::from_samples(&delays);
             println!("{}", summary_row(&label, &s));
@@ -42,16 +49,14 @@ fn main() {
     for (i, (a, b)) in COMBOS.into_iter().enumerate() {
         let label = format!("AND ({},{})", a as u8, b as u8);
         measure("table6", label, 0x67 + i as u64, &move |sk| {
-            let gate = sk.tsx_and_or_gate();
-            gate.execute_readings(sk.machine_mut(), a, b).0.delay
+            and_or_readings(sk, a, b)[0].delay
         });
     }
     // …and the OR output.
     for (i, (a, b)) in COMBOS.into_iter().enumerate() {
         let label = format!("OR  ({},{})", a as u8, b as u8);
         measure("table6", label, 0x6B + i as u64, &move |sk| {
-            let gate = sk.tsx_and_or_gate();
-            gate.execute_readings(sk.machine_mut(), a, b).1.delay
+            and_or_readings(sk, a, b)[1].delay
         });
     }
 

@@ -25,17 +25,17 @@ pub enum CoreError {
         /// Which region overflowed.
         region: &'static str,
     },
-    /// A gate program terminated abnormally (step limit or unexpected
-    /// fault) — the machine or the gate construction is misconfigured.
-    AbnormalTermination {
-        /// Gate name.
-        gate: &'static str,
-    },
     /// A circuit wire was consumed by more than one gate (or read as an
     /// output after being consumed). Reading a weird register destroys a
     /// stored 0, so every wire may be consumed at most once (§3.1, state
     /// decoherence).
     WireReused {
+        /// Index of the offending wire.
+        wire: usize,
+    },
+    /// A circuit builder was handed a wire it did not create (a wire of
+    /// another builder).
+    UnknownWire {
         /// Index of the offending wire.
         wire: usize,
     },
@@ -55,11 +55,11 @@ impl fmt::Display for CoreError {
             CoreError::LayoutExhausted { region } => {
                 write!(f, "layout region `{region}` exhausted")
             }
-            CoreError::AbnormalTermination { gate } => {
-                write!(f, "gate `{gate}` terminated abnormally")
-            }
             CoreError::WireReused { wire } => {
                 write!(f, "circuit wire {wire} consumed more than once")
+            }
+            CoreError::UnknownWire { wire } => {
+                write!(f, "circuit wire {wire} does not belong to this builder")
             }
         }
     }

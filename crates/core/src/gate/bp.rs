@@ -24,7 +24,8 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::gate::{check_arity, decode, GateReading, GateSpec, ProgramUnit, WeirdGate};
+use crate::gate::sealed::Bind;
+use crate::gate::{check_arity, decode, set_dc, GateReading, GateSpec, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
@@ -111,6 +112,17 @@ impl BranchBlock {
     fn arm<S: Substrate + ?Sized>(&self, s: &mut S) {
         s.flush_addr(self.cond);
     }
+
+    /// The single-block protocol up to the read, over inputs `[ic, bp]`:
+    /// writes the IC-WR and the BP-WR, initializes `out` to `preset`, then
+    /// arms and activates the branch.
+    fn run(&self, s: &mut dyn Substrate, out: u64, preset: bool, inputs: &[bool]) {
+        self.set_ic(s, inputs[0]);
+        self.train(s, inputs[1]);
+        set_dc(s, out, preset);
+        self.arm(s);
+        s.run_at(self.branch_pc);
+    }
 }
 
 /// Assembles a single-branch gate skeleton (branch + one aligned body
@@ -186,24 +198,40 @@ fn emit_double_block(
     ))
 }
 
+/// Describes a single-block gate (Figure 1's shape) at fresh layout
+/// addresses: the condition word, the output, then the gate and training
+/// code. `body` builds the speculative body instruction from the output
+/// address.
+fn spec_single(
+    lay: &mut Layout,
+    body: impl FnOnce(u64) -> Inst,
+) -> Result<(BranchBlock, u64, Vec<ProgramUnit>)> {
+    let cond = lay.alloc_var()?;
+    let out = lay.alloc_var()?;
+    let (base, body, gate_unit) = emit_single_block(lay, cond, body(out))?;
+    let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
+    Ok((block, out, vec![gate_unit, train_unit]))
+}
+
 /// The weird `AND` gate of Figure 1.
 ///
 /// `out = ic & bp`: the body (`store out`) runs speculatively only when the
 /// predictor was mistrained toward it (*bp*) **and** its line is cached
-/// (*ic*).
+/// (*ic*). Inputs are `[ic, bp]`.
 ///
 /// # Examples
 ///
 /// ```
 /// use uwm_core::gate::bp::BpAnd;
+/// use uwm_core::gate::WeirdGate;
 /// use uwm_core::layout::Layout;
 /// use uwm_sim::machine::{Machine, MachineConfig};
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
 /// let gate = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
-/// assert!(gate.execute(&mut m, true, true));
-/// assert!(!gate.execute(&mut m, true, false));
+/// assert!(gate.execute(&mut m, &[true, true]).unwrap());
+/// assert!(!gate.execute(&mut m, &[true, false]).unwrap());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BpAnd {
@@ -219,45 +247,18 @@ impl BpAnd {
     ///
     /// Fails on layout exhaustion or assembly error.
     pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (base, body, gate_unit) = emit_single_block(
-            lay,
-            cond,
-            Inst::Store {
-                addr: out as u32,
-                src: BODY_SRC_REG,
-            },
-        )?;
-        let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
+        let (block, out, units) = spec_single(lay, |out| Inst::Store {
+            addr: out as u32,
+            src: BODY_SRC_REG,
+        })?;
         Ok(GateSpec::new(
             Self {
                 block,
                 out,
                 threshold: 0,
             },
-            vec![gate_unit, train_unit],
+            units,
         ))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, ic: bool, bp: bool) -> bool {
-        self.execute_reading(s, ic, bp).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        ic: bool,
-        bp: bool,
-    ) -> GateReading {
-        self.block.set_ic(s, ic);
-        self.block.train(s, bp);
-        s.flush_addr(self.out); // output := 0
-        self.block.arm(s);
-        s.run_at(self.block.branch_pc);
-        decode(s, self.out, self.threshold)
     }
 }
 
@@ -275,8 +276,9 @@ impl WeirdGate for BpAnd {
     }
 
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
+        check_arity(self.name(), 2, inputs.len())?;
+        self.block.run(s, self.out, false, inputs);
+        Ok(decode(s, self.out, self.threshold))
     }
 }
 
@@ -301,39 +303,15 @@ impl BpNand {
     ///
     /// Fails on layout exhaustion or assembly error.
     pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (base, body, gate_unit) =
-            emit_single_block(lay, cond, Inst::Flush { addr: out as u32 })?;
-        let (block, train_unit) = BranchBlock::finish(lay, base, body, cond)?;
+        let (block, out, units) = spec_single(lay, |out| Inst::Flush { addr: out as u32 })?;
         Ok(GateSpec::new(
             Self {
                 block,
                 out,
                 threshold: 0,
             },
-            vec![gate_unit, train_unit],
+            units,
         ))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, ic: bool, bp: bool) -> bool {
-        self.execute_reading(s, ic, bp).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        ic: bool,
-        bp: bool,
-    ) -> GateReading {
-        self.block.set_ic(s, ic);
-        self.block.train(s, bp);
-        s.timed_read(self.out); // output := 1 (pre-set)
-        self.block.arm(s);
-        s.run_at(self.block.branch_pc);
-        decode(s, self.out, self.threshold)
     }
 }
 
@@ -351,8 +329,9 @@ impl WeirdGate for BpNand {
     }
 
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
+        check_arity(self.name(), 2, inputs.len())?;
+        self.block.run(s, self.out, true, inputs);
+        Ok(decode(s, self.out, self.threshold))
     }
 }
 
@@ -360,14 +339,10 @@ impl WeirdGate for BpNand {
 /// output.
 ///
 /// Block 1 is *always* mistrained; its body-line residency carries input
-/// `a`. Block 2's body stays resident; its training carries input `b`.
+/// `a`. Block 2's body stays resident; its training carries input `b`. That
+/// is the [`BpAndAndOr`] gate run with inputs `(a, 1, 1, b)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpOr {
-    block1: BranchBlock,
-    block2: BranchBlock,
-    out: u64,
-    threshold: u64,
-}
+pub struct BpOr(BpAndAndOr);
 
 impl BpOr {
     /// Describes the gate at fresh layout addresses, machine-free.
@@ -376,44 +351,8 @@ impl BpOr {
     ///
     /// Fails on layout exhaustion or assembly error.
     pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let cond1 = lay.alloc_var()?;
-        let cond2 = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        let (b1_pc, body1, b2_pc, body2, gate_unit) = emit_double_block(lay, cond1, cond2, out)?;
-        let (block1, train1) = BranchBlock::finish(lay, b1_pc, body1, cond1)?;
-        let (block2, train2) = BranchBlock::finish(lay, b2_pc, body2, cond2)?;
-        Ok(GateSpec::new(
-            Self {
-                block1,
-                block2,
-                out,
-                threshold: 0,
-            },
-            vec![gate_unit, train1, train2],
-        ))
-    }
-
-    /// Executes the gate with explicit inputs; returns the output bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.block1.set_ic(s, a);
-        self.block2.set_ic(s, true); // block 2's body must stay resident
-        self.block1.train(s, true); // unconditionally mistrained (Fig. 2)
-        self.block2.train(s, b);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        s.run_at(self.block1.branch_pc);
-        decode(s, self.out, self.threshold)
+        let GateSpec { gate, units } = BpAndAndOr::spec(lay)?;
+        Ok(GateSpec::new(Self(gate), units))
     }
 }
 
@@ -431,8 +370,8 @@ impl WeirdGate for BpOr {
     }
 
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
+        check_arity(self.name(), 2, inputs.len())?;
+        self.0.execute_timed(s, &[inputs[0], true, true, inputs[1]])
     }
 }
 
@@ -440,11 +379,11 @@ impl WeirdGate for BpOr {
 ///
 /// Two AND blocks (each an IC input *and* a BP input) storing to one
 /// output — the gate the paper's SHA-1 uses for its full adder's carry and
-/// for the round functions (§5.2, Table 4).
+/// for the round functions (§5.2, Table 4). Block 1 carries `a` as its
+/// IC-WR and `b` as its BP-WR, block 2 carries `c` and `d`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BpAndAndOr {
-    block1: BranchBlock,
-    block2: BranchBlock,
+    blocks: [BranchBlock; 2],
     out: u64,
     threshold: u64,
 }
@@ -464,45 +403,12 @@ impl BpAndAndOr {
         let (block2, train2) = BranchBlock::finish(lay, b2_pc, body2, cond2)?;
         Ok(GateSpec::new(
             Self {
-                block1,
-                block2,
+                blocks: [block1, block2],
                 out,
                 threshold: 0,
             },
             vec![gate_unit, train1, train2],
         ))
-    }
-
-    /// Executes `(a & b) | (c & d)`.
-    pub fn execute<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-        c: bool,
-        d: bool,
-    ) -> bool {
-        self.execute_reading(s, a, b, c, d).bit
-    }
-
-    /// Executes the gate, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-        c: bool,
-        d: bool,
-    ) -> GateReading {
-        self.block1.set_ic(s, a);
-        self.block2.set_ic(s, c);
-        self.block1.train(s, b);
-        self.block2.train(s, d);
-        s.flush_addr(self.out);
-        self.block1.arm(s);
-        self.block2.arm(s);
-        s.run_at(self.block1.branch_pc);
-        decode(s, self.out, self.threshold)
     }
 }
 
@@ -520,12 +426,31 @@ impl WeirdGate for BpAndAndOr {
     }
 
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 4, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1], inputs[2], inputs[3]))
+        check_arity(self.name(), 4, inputs.len())?;
+        let [block1, block2] = &self.blocks;
+        block1.set_ic(s, inputs[0]);
+        block2.set_ic(s, inputs[2]);
+        block1.train(s, inputs[1]);
+        block2.train(s, inputs[3]);
+        s.flush_addr(self.out);
+        block1.arm(s);
+        block2.arm(s);
+        s.run_at(block1.branch_pc);
+        Ok(decode(s, self.out, self.threshold))
     }
 }
 
-bind_on_out!(BpAnd => out, BpNand => out, BpOr => out, BpAndAndOr => out);
+bind_on_out!(BpAnd => out, BpNand => out, BpAndAndOr => out);
+
+impl Bind for BpOr {
+    fn out_line(&self) -> u64 {
+        self.0.out_line()
+    }
+
+    fn with_threshold(self, threshold: u64) -> Self {
+        Self(self.0.with_threshold(threshold))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -574,7 +499,7 @@ mod tests {
         for i in 0..50 {
             let a = i % 2 == 0;
             let b = i % 3 == 0;
-            assert_eq!(g.execute(&mut m, a, b), a & b, "iteration {i}");
+            assert_eq!(g.execute(&mut m, &[a, b]).unwrap(), a & b, "iteration {i}");
         }
     }
 
@@ -583,10 +508,10 @@ mod tests {
         let (mut m, mut lay) = setup();
         let g1 = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
         let g2 = BpOr::spec(&mut lay).unwrap().instantiate(&mut m);
-        assert!(g1.execute(&mut m, true, true));
-        assert!(!g2.execute(&mut m, false, false));
-        assert!(!g1.execute(&mut m, false, true));
-        assert!(g2.execute(&mut m, true, false));
+        assert!(g1.execute(&mut m, &[true, true]).unwrap());
+        assert!(!g2.execute(&mut m, &[false, false]).unwrap());
+        assert!(!g1.execute(&mut m, &[false, true]).unwrap());
+        assert!(g2.execute(&mut m, &[true, false]).unwrap());
     }
 
     /// One spec can instantiate the same gate on any number of machines —
@@ -606,8 +531,8 @@ mod tests {
     fn reading_reports_bimodal_delays() {
         let (mut m, mut lay) = setup();
         let g = BpAnd::spec(&mut lay).unwrap().instantiate(&mut m);
-        let one = g.execute_reading(&mut m, true, true);
-        let zero = g.execute_reading(&mut m, true, false);
+        let one = g.execute_timed(&mut m, &[true, true]).unwrap();
+        let zero = g.execute_timed(&mut m, &[true, false]).unwrap();
         assert!(one.bit && !zero.bit);
         assert!(zero.delay > one.delay + 100, "hit/miss separation");
     }

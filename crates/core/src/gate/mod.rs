@@ -6,8 +6,10 @@
 //!   speculative window against instruction-cache residency (Figures 1–2).
 //!   Accurate (Table 5) but slow: every activation retrains the predictor.
 //! * [`tsx`] — gates built from post-fault speculative execution inside
-//!   aborted transactions (Figure 3, §4). Fast and composable into
-//!   [weird circuits](crate::circuit) with no architectural intermediates.
+//!   aborted transactions (Figure 3, §4): one gate type,
+//!   [`tsx::TsxGate`], over the op table [`tsx::TsxOp`]. Fast and
+//!   composable into [weird circuits](crate::circuit) with no
+//!   architectural intermediates.
 //!
 //! Every gate's boolean function is *never* computed by an architectural
 //! instruction: the inputs select which cache fills win a race, and the
@@ -19,13 +21,18 @@
 //!
 //! 1. A **spec** ([`GateSpec`]) is machine-independent: wiring addresses
 //!    allocated from a [`crate::layout::Layout`] plus the assembled program
-//!    templates. Build one with `Gate::spec(&mut lay)`.
+//!    templates. Build one with a gate's `spec`: `BpAnd::spec(&mut lay)`,
+//!    `TsxGate::spec(&mut lay, TsxOp::And)`.
 //! 2. An **instance** is the gate bound to a backend:
 //!    `spec.instantiate(&mut substrate)` installs and warms the programs on
 //!    any [`Substrate`], calibrates the hit/miss threshold on the gate's
 //!    output line, and returns the runnable gate value. This is the only
-//!    gate constructor: `Gate::spec(&mut lay)?.instantiate(&mut s)` builds
+//!    gate constructor: `BpAnd::spec(&mut lay)?.instantiate(&mut s)` builds
 //!    and binds in one expression.
+//!
+//! A bound gate, BP or TSX, runs only through [`WeirdGate`]:
+//! [`WeirdGate::execute_timed`] runs the full protocol and reports the
+//! reading, [`WeirdGate::execute`] the bit alone.
 //!
 //! The same spec can be instantiated on any number of backends (the
 //! emulation detector does exactly this) or on every shard of a
@@ -100,13 +107,23 @@ pub(crate) fn decode<S: Substrate + ?Sized>(s: &mut S, line: u64, threshold: u64
     }
 }
 
+/// Writes a DC-WR (a data-cache line): touch for 1, flush for 0.
+pub(crate) fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
+    if bit {
+        s.timed_read(addr);
+    } else {
+        s.flush_addr(addr);
+    }
+}
+
 pub(crate) mod sealed {
     /// The binding step of [`super::GateSpec::instantiate`]: which line a
     /// gate's threshold is calibrated on, and how the calibrated value
     /// enters the gate. Implemented by every gate and by the skelly's gate
     /// set, which calibrates once for all ten.
     pub trait Bind {
-        /// The output line the gate reads (the AND output for `TsxAndOr`).
+        /// The output line the threshold is calibrated on (a gate's first
+        /// output).
         fn out_line(&self) -> u64;
 
         /// The gate, decoding every output against `threshold`.
@@ -138,15 +155,16 @@ pub struct ProgramUnit {
 /// # Examples
 ///
 /// ```
-/// use uwm_core::gate::tsx::TsxAnd;
+/// use uwm_core::gate::tsx::{TsxGate, TsxOp};
+/// use uwm_core::gate::WeirdGate;
 /// use uwm_core::layout::Layout;
 /// use uwm_sim::machine::{Machine, MachineConfig};
 ///
 /// let mut lay = Layout::new(8192);
-/// let spec = TsxAnd::spec(&mut lay).unwrap(); // no machine involved
+/// let spec = TsxGate::spec(&mut lay, TsxOp::And).unwrap(); // no machine involved
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let gate = spec.instantiate(&mut m);
-/// assert!(gate.execute_reading(&mut m, true, true).bit);
+/// assert!(gate.execute(&mut m, &[true, true]).unwrap());
 /// ```
 #[derive(Debug, Clone)]
 pub struct GateSpec<G> {
@@ -185,12 +203,12 @@ impl<G: sealed::Bind + Copy> GateSpec<G> {
     }
 }
 
-/// Common interface over all weird gates.
+/// Common interface over all weird gates, and the one way to execute one.
 ///
-/// The inherent methods of each gate type (e.g.
-/// [`bp::BpAnd::execute`]) are the ergonomic API; this trait exists for
-/// generic harnesses (accuracy sweeps, redundancy voting, benchmarks). It
-/// is object-safe and backend-agnostic: harnesses drive gates through
+/// Every gate — BP or TSX — runs its full protocol through
+/// [`WeirdGate::execute_timed`]; callers, generic harnesses (accuracy
+/// sweeps, redundancy voting, benchmarks) and circuits alike. It is
+/// object-safe and backend-agnostic: callers drive gates through
 /// `&mut dyn Substrate`. It is sealed: only this crate's gates, which
 /// carry their backend's calibrated threshold, implement it.
 pub trait WeirdGate: sealed::Bind {
@@ -235,15 +253,15 @@ pub struct GateReading {
     pub delay: u64,
 }
 
-/// Validates an input slice against a gate's arity.
-pub(crate) fn check_arity(gate: &'static str, expected: usize, inputs: &[bool]) -> Result<()> {
-    if inputs.len() == expected {
+/// Validates a count of inputs (or wired registers) against a gate's.
+pub(crate) fn check_arity(gate: &'static str, expected: usize, got: usize) -> Result<()> {
+    if got == expected {
         Ok(())
     } else {
         Err(CoreError::Arity {
             gate,
             expected,
-            got: inputs.len(),
+            got,
         })
     }
 }

@@ -1,32 +1,37 @@
 //! TSX-based weird gates (§4, Figure 3).
 //!
-//! Each gate is one transaction: an `xbegin`, an immediate divide-by-zero,
+//! Every gate is one transaction: an `xbegin`, an immediate divide-by-zero,
 //! and a dependent load chain. The fault dooms the transaction, but the
 //! pipeline keeps executing the chain for a short *post-fault speculative
 //! window* before the abort squashes it. Whether the chain's final access
 //! issues inside that window depends on whether its inputs were cache hits
 //! — which is the boolean function.
 //!
+//! The construction is the same for every gate; only the chain differs.
+//! [`TsxOp`] is the one table of what differs per op — paper name, arity,
+//! outputs, output pre-set, reference truth and chain — and [`TsxGate`] is
+//! the one gate type built from it. [Weird circuits](crate::circuit) chain
+//! the same `TsxGate`s, and [`TsxXor`] is three of them.
+//!
 //! All inputs and outputs are DC-WRs (variables holding the value 0, so
 //! `value + ADDR(out)` dereferences `out`). Because every register is the
 //! same kind, gate outputs feed directly into later gates' inputs with no
-//! architectural intermediate — the property [weird
-//! circuits](crate::circuit) are built on.
+//! architectural intermediate.
 //!
 //! Reads of intermediate registers never happen; the paper stresses that a
 //! debugger attached to the transaction sees only `xbegin` followed by the
 //! abort handler.
 //!
-//! Every gate follows the spec/instance split: `spec`/`spec_wired` produce
-//! a machine-independent [`GateSpec`] from a [`Layout`] alone, and
-//! [`GateSpec::instantiate`] binds it to a [`Substrate`]. That is the only
-//! way to construct a runnable gate.
+//! Every gate follows the spec/instance split: [`TsxGate::spec`] and
+//! [`TsxGate::spec_wired`] produce a machine-independent [`GateSpec`] from
+//! a [`Layout`] alone, and [`GateSpec::instantiate`] binds it to a
+//! [`Substrate`]. That is the only way to construct a runnable gate.
 
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::gate::sealed::Bind;
-use crate::gate::{check_arity, decode, GateReading, GateSpec, ProgramUnit, WeirdGate};
+use crate::gate::{check_arity, decode, set_dc, GateReading, GateSpec, ProgramUnit, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::Substrate;
 use uwm_sim::isa::{AluOp, Assembler, Inst, Operand};
@@ -87,656 +92,305 @@ fn emit_deref(a: &mut Assembler, src: u8, tmp: u8, out: u64) {
     });
 }
 
-/// Writes a DC-WR input: touch = 1, flush = 0.
-fn set_dc<S: Substrate + ?Sized>(s: &mut S, addr: u64, bit: bool) {
-    if bit {
-        s.timed_read(addr);
-    } else {
-        s.flush_addr(addr);
+/// Emits `dst := *a + *b` — the sum is 0 only if both loads arrived, so a
+/// dereference through it is the AND.
+fn emit_sum(a: &mut Assembler, dst: u8) {
+    a.push(Inst::Alu {
+        op: AluOp::Add,
+        dst,
+        a: R_A,
+        b: Operand::Reg(R_B),
+    });
+}
+
+/// The TSX ops: everything that differs between the gates of the family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TsxOp {
+    /// `out := a` — a single dependent dereference racing the post-fault
+    /// window; the WR-to-WR transfer primitive that makes circuits
+    /// possible (§4).
+    Assign,
+    /// `out := !a` — a speculative `clflush` of the output, pre-set to 1,
+    /// with an address dependency on the input. (Our construction: the
+    /// paper uses a NOT inside its XOR but does not spell it out.)
+    Not,
+    /// `out := a & b` via `*(*a + *b + ADDR(out))`.
+    And,
+    /// `out := a | b` — two independent assignment chains into one output.
+    Or,
+    /// The combined gate of Figure 3: one transaction computing
+    /// `a & b` (first output) and `a | b` (second output).
+    AndOr,
+}
+
+impl TsxOp {
+    /// Every op, in declaration order.
+    pub const ALL: [TsxOp; 5] = [
+        TsxOp::Assign,
+        TsxOp::Not,
+        TsxOp::And,
+        TsxOp::Or,
+        TsxOp::AndOr,
+    ];
+
+    /// Gate name as used in the paper's tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            TsxOp::Assign => "TSX_ASSIGN",
+            TsxOp::Not => "TSX_NOT",
+            TsxOp::And => "TSX_AND",
+            TsxOp::Or => "TSX_OR",
+            TsxOp::AndOr => "TSX_AND_OR",
+        }
+    }
+
+    /// Number of input registers.
+    pub fn arity(self) -> usize {
+        match self {
+            TsxOp::Assign | TsxOp::Not => 1,
+            TsxOp::And | TsxOp::Or | TsxOp::AndOr => 2,
+        }
+    }
+
+    /// Number of output registers.
+    pub fn outputs(self) -> usize {
+        match self {
+            TsxOp::AndOr => 2,
+            _ => 1,
+        }
+    }
+
+    /// The value every output is initialized to before activation: only
+    /// NOT's chain clears its output, so only NOT pre-sets 1.
+    pub fn preset(self) -> bool {
+        self == TsxOp::Not
+    }
+
+    /// Reference truth: the op's outputs for inputs `a`, `b` (`b` is
+    /// ignored by one-input ops; entries past [`TsxOp::outputs`] are
+    /// `false`).
+    pub fn eval(self, a: bool, b: bool) -> [bool; 2] {
+        match self {
+            TsxOp::Assign => [a, false],
+            TsxOp::Not => [!a, false],
+            TsxOp::And => [a & b, false],
+            TsxOp::Or => [a | b, false],
+            TsxOp::AndOr => [a & b, a | b],
+        }
+    }
+
+    /// Instructions in the op's dependent chain.
+    fn chain_len(self) -> u64 {
+        match self {
+            TsxOp::Assign => 3,
+            TsxOp::Not => 2,
+            TsxOp::And => 5,
+            TsxOp::Or => 6,
+            TsxOp::AndOr => 9,
+        }
+    }
+
+    /// Emits the op's dependent chain over input and output registers.
+    fn emit_chain(self, a: &mut Assembler, ins: [u64; 2], outs: [u64; 2]) {
+        a.push(Inst::Load {
+            dst: R_A,
+            addr: ins[0] as u32,
+        });
+        if self.arity() == 2 {
+            a.push(Inst::Load {
+                dst: R_B,
+                addr: ins[1] as u32,
+            });
+        }
+        match self {
+            TsxOp::Assign => emit_deref(a, R_A, R_T0, outs[0]),
+            TsxOp::Not => {
+                a.push(Inst::FlushInd {
+                    base: R_A,
+                    offset: outs[0] as u32,
+                });
+            }
+            TsxOp::And => {
+                emit_sum(a, R_T0);
+                emit_deref(a, R_T0, R_T1, outs[0]);
+            }
+            TsxOp::Or => {
+                emit_deref(a, R_A, R_T0, outs[0]);
+                emit_deref(a, R_B, R_T1, outs[0]);
+            }
+            TsxOp::AndOr => {
+                emit_deref(a, R_A, R_T0, outs[1]); // d3 := d0
+                emit_deref(a, R_B, R_T1, outs[1]); // d3 := d1
+                emit_sum(a, R_T2);
+                emit_deref(a, R_T2, R_T2, outs[0]); // d2 := d0 & d1
+            }
+        }
     }
 }
 
-/// The TSX `ASSIGN` gate: `out := in`.
-///
-/// The minimal weird gate — a single dependent dereference racing the
-/// post-fault window. Also the WR-to-WR transfer primitive that makes
-/// circuits possible (§4).
+/// One TSX gate: a [`TsxOp`] wired to input and output registers.
 ///
 /// # Examples
 ///
 /// ```
-/// use uwm_core::gate::tsx::TsxAssign;
+/// use uwm_core::gate::tsx::{TsxGate, TsxOp};
+/// use uwm_core::gate::WeirdGate;
 /// use uwm_core::layout::Layout;
 /// use uwm_sim::machine::{Machine, MachineConfig};
 ///
 /// let mut m = Machine::new(MachineConfig::quiet(), 0);
 /// let mut lay = Layout::new(m.predictor().alias_stride());
-/// let gate = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
-/// assert!(gate.execute(&mut m, true));
-/// assert!(!gate.execute(&mut m, false));
+/// let gate = TsxGate::spec(&mut lay, TsxOp::Assign).unwrap().instantiate(&mut m);
+/// assert!(gate.execute(&mut m, &[true]).unwrap());
+/// assert!(!gate.execute(&mut m, &[false]).unwrap());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAssign {
+pub struct TsxGate {
+    op: TsxOp,
     pc: u64,
-    input: u64,
-    out: u64,
+    ins: [u64; 2],
+    outs: [u64; 2],
     threshold: u64,
 }
 
-impl TsxAssign {
-    /// Describes the gate with freshly allocated input/output registers.
+impl TsxGate {
+    /// Describes the gate with freshly allocated registers: the inputs,
+    /// then the outputs.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let input = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, input, out)
+    pub fn spec(lay: &mut Layout, op: TsxOp) -> Result<GateSpec<Self>> {
+        let mut regs = [0; 4];
+        let n = op.arity() + op.outputs();
+        for r in &mut regs[..n] {
+            *r = lay.alloc_var()?;
+        }
+        Self::spec_wired(lay, op, &regs[..op.arity()], &regs[op.arity()..n])
     }
 
     /// Describes the gate over existing registers (circuit wiring).
     ///
     /// # Errors
     ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, input: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 3, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: input as u32,
-            });
-            emit_deref(a, R_A, R_T0, out);
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                input,
-                out,
-                threshold: 0,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// Input register address.
-    pub fn input(&self) -> u64 {
-        self.input
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0 (flush).
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only — inputs/outputs untouched.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with an explicit input bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> bool {
-        self.execute_reading(s, input).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.input, input);
-        self.activate(s);
-        decode(s, self.out, self.threshold)
-    }
-}
-
-impl TsxAssign {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxAssign {
-    fn name(&self) -> &'static str {
-        "TSX_ASSIGN"
-    }
-
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 1, inputs)?;
-        Ok(self.execute_reading(s, inputs[0]))
-    }
-}
-
-/// The TSX `AND` gate: `out := a & b` via `*(*a + *b + ADDR(out))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAnd {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out: u64,
-    threshold: u64,
-}
-
-impl TsxAnd {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out)
-    }
-
-    /// Describes the gate over existing registers (circuit wiring).
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, in_a: u64, in_b: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 5, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            a.push(Inst::Alu {
-                op: AluOp::Add,
-                dst: R_T0,
-                a: R_A,
-                b: Operand::Reg(R_B),
-            });
-            emit_deref(a, R_T0, R_T1, out);
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out,
-                threshold: 0,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        decode(s, self.out, self.threshold)
-    }
-}
-
-impl TsxAnd {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxAnd {
-    fn name(&self) -> &'static str {
-        "TSX_AND"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] & inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-}
-
-/// The TSX `OR` gate: two independent assignment chains into one output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxOr {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out: u64,
-    threshold: u64,
-}
-
-impl TsxOr {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out)
-    }
-
-    /// Describes the gate over existing registers (circuit wiring).
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, in_a: u64, in_b: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 6, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            emit_deref(a, R_A, R_T0, out);
-            emit_deref(a, R_B, R_T1, out);
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out,
-                threshold: 0,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        decode(s, self.out, self.threshold)
-    }
-}
-
-impl TsxOr {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxOr {
-    fn name(&self) -> &'static str {
-        "TSX_OR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] | inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
-    }
-}
-
-/// The combined `AND`/`OR` circuit of Figure 3: one transaction computing
-/// `out_and := a & b` **and** `out_or := a | b` simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxAndOr {
-    pc: u64,
-    in_a: u64,
-    in_b: u64,
-    out_and: u64,
-    out_or: u64,
-    threshold: u64,
-}
-
-impl TsxAndOr {
-    /// Describes the circuit with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out_and = lay.alloc_var()?;
-        let out_or = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out_and, out_or)
-    }
-
-    /// Describes the circuit over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
+    /// Returns [`crate::error::CoreError::Arity`] unless `ins` holds
+    /// [`TsxOp::arity`] and `outs` [`TsxOp::outputs`] addresses; fails on
+    /// layout exhaustion or assembly error.
     pub fn spec_wired(
         lay: &mut Layout,
-        in_a: u64,
-        in_b: u64,
-        out_and: u64,
-        out_or: u64,
+        op: TsxOp,
+        ins: &[u64],
+        outs: &[u64],
     ) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 9, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: in_a as u32,
-            });
-            a.push(Inst::Load {
-                dst: R_B,
-                addr: in_b as u32,
-            });
-            emit_deref(a, R_A, R_T0, out_or); // d3 := d0
-            emit_deref(a, R_B, R_T1, out_or); // d3 := d1
-            a.push(Inst::Alu {
-                op: AluOp::Add,
-                dst: R_T2,
-                a: R_A,
-                b: Operand::Reg(R_B),
-            });
-            emit_deref(a, R_T2, R_T2, out_and); // d2 := d0 & d1
+        check_arity(op.name(), op.arity(), ins.len())?;
+        check_arity(op.name(), op.outputs(), outs.len())?;
+        let mut gate = Self {
+            op,
+            pc: 0,
+            ins: [0; 2],
+            outs: [0; 2],
+            threshold: 0,
+        };
+        gate.ins[..ins.len()].copy_from_slice(ins);
+        gate.outs[..outs.len()].copy_from_slice(outs);
+        let (pc, unit) = emit_tx(lay, op.chain_len(), |a| {
+            op.emit_chain(a, gate.ins, gate.outs);
         })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                in_a,
-                in_b,
-                out_and,
-                out_or,
-                threshold: 0,
-            },
-            vec![unit],
-        ))
+        gate.pc = pc;
+        Ok(GateSpec::new(gate, vec![unit]))
     }
 
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.in_a
+    /// The op the gate computes.
+    pub fn op(&self) -> TsxOp {
+        self.op
     }
 
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.in_b
+    /// Input register addresses.
+    pub fn inputs(&self) -> &[u64] {
+        &self.ins[..self.op.arity()]
     }
 
-    /// AND-output register address.
-    pub fn out_and(&self) -> u64 {
-        self.out_and
+    /// Output register addresses (for `AndOr`, the AND output first).
+    pub fn outputs(&self) -> &[u64] {
+        &self.outs[..self.op.outputs()]
     }
 
-    /// OR-output register address.
-    pub fn out_or(&self) -> u64 {
-        self.out_or
-    }
-
-    /// Initializes both output registers to 0.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.flush_addr(self.out_and);
-        s.flush_addr(self.out_or);
-    }
-
-    /// Runs the transaction only.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.run_at(self.pc);
-    }
-
-    /// Full protocol; returns `(a & b, a | b)`.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> (bool, bool) {
-        let (and, or) = self.execute_readings(s, a, b);
-        (and.bit, or.bit)
-    }
-
-    /// Full protocol, reporting both raw output-read delays.
-    pub fn execute_readings<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> (GateReading, GateReading) {
-        self.prepare(s);
-        set_dc(s, self.in_a, a);
-        set_dc(s, self.in_b, b);
-        self.activate(s);
-        (
-            decode(s, self.out_and, self.threshold),
-            decode(s, self.out_or, self.threshold),
-        )
-    }
-}
-
-impl TsxAndOr {
     /// Entry pc of the gate's transaction (circuit-plan compilation).
     pub fn entry_pc(&self) -> u64 {
         self.pc
     }
-}
 
-impl WeirdGate for TsxAndOr {
-    fn name(&self) -> &'static str {
-        "TSX_AND_OR"
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    /// Truth of the AND output (the generic interface exposes one output;
-    /// use [`TsxAndOr::execute`] for both).
-    fn truth(&self, inputs: &[bool]) -> bool {
-        inputs[0] & inputs[1]
-    }
-
-    fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        let (and, _) = self.execute_readings(s, inputs[0], inputs[1]);
-        Ok(and)
-    }
-}
-
-/// The TSX `NOT` gate: a speculative `clflush` with an address dependency
-/// on the input.
-///
-/// The output is *pre-set to 1*; `flush [*in + ADDR(out)]` only issues if
-/// the input loads in time, so `out = !in`. (Our construction — the paper
-/// uses a NOT inside its XOR but does not spell it out.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxNot {
-    pc: u64,
-    input: u64,
-    out: u64,
-    threshold: u64,
-}
-
-impl TsxNot {
-    /// Describes the gate with freshly allocated registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let input = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, input, out)
-    }
-
-    /// Describes the gate over existing registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, input: u64, out: u64) -> Result<GateSpec<Self>> {
-        let (pc, unit) = emit_tx(lay, 2, |a| {
-            a.push(Inst::Load {
-                dst: R_A,
-                addr: input as u32,
-            });
-            a.push(Inst::FlushInd {
-                base: R_A,
-                offset: out as u32,
-            });
-        })?;
-        Ok(GateSpec::new(
-            Self {
-                pc,
-                input,
-                out,
-                threshold: 0,
-            },
-            vec![unit],
-        ))
-    }
-
-    /// Input register address.
-    pub fn input(&self) -> u64 {
-        self.input
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.out
-    }
-
-    /// Initializes the output register to **1** (touch) — the inverted
-    /// default this gate requires.
+    /// Initializes every output register to the op's pre-set value.
     pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        s.timed_read(self.out);
+        for &out in self.outputs() {
+            set_dc(s, out, self.op.preset());
+        }
     }
 
-    /// Runs the transaction only.
+    /// Runs the transaction only — inputs and outputs untouched.
     pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
         s.run_at(self.pc);
     }
 
-    /// Full protocol with an explicit input bit.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> bool {
-        self.execute_reading(s, input).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(&self, s: &mut S, input: bool) -> GateReading {
+    /// The gate protocol up to the reads: initializes the outputs, stores
+    /// `inputs` into the input registers and activates the gate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::error::CoreError::Arity`] when `inputs.len()` is
+    /// not the op's arity.
+    pub fn run<S: Substrate + ?Sized>(&self, s: &mut S, inputs: &[bool]) -> Result<()> {
+        check_arity(self.op.name(), self.op.arity(), inputs.len())?;
         self.prepare(s);
-        set_dc(s, self.input, input);
+        for (&addr, &bit) in self.inputs().iter().zip(inputs) {
+            set_dc(s, addr, bit);
+        }
         self.activate(s);
-        decode(s, self.out, self.threshold)
+        Ok(())
+    }
+
+    /// Times one read of output `k` and decodes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not below [`TsxOp::outputs`].
+    pub fn read<S: Substrate + ?Sized>(&self, s: &mut S, k: usize) -> GateReading {
+        decode(s, self.outputs()[k], self.threshold)
     }
 }
 
-impl TsxNot {
-    /// Entry pc of the gate's transaction (circuit-plan compilation).
-    pub fn entry_pc(&self) -> u64 {
-        self.pc
-    }
-}
-
-impl WeirdGate for TsxNot {
+impl WeirdGate for TsxGate {
     fn name(&self) -> &'static str {
-        "TSX_NOT"
+        self.op.name()
     }
 
     fn arity(&self) -> usize {
-        1
+        self.op.arity()
     }
 
+    /// Truth of the first output.
     fn truth(&self, inputs: &[bool]) -> bool {
-        !inputs[0]
+        self.op.eval(inputs[0], self.op.arity() == 2 && inputs[1])[0]
     }
 
+    /// Runs the gate and reads every output in order; reports the first.
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 1, inputs)?;
-        Ok(self.execute_reading(s, inputs[0]))
+        self.run(s, inputs)?;
+        let first = self.read(s, 0);
+        for k in 1..self.op.outputs() {
+            self.read(s, k);
+        }
+        Ok(first)
+    }
+}
+
+impl Bind for TsxGate {
+    fn out_line(&self) -> u64 {
+        self.outs[0]
+    }
+
+    fn with_threshold(self, threshold: u64) -> Self {
+        Self { threshold, ..self }
     }
 }
 
@@ -747,91 +401,31 @@ impl WeirdGate for TsxNot {
 /// intermediate values. This is the gate the weird-obfuscation scheme's
 /// one-time-pad decode runs on (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsxXor {
-    and_or: TsxAndOr,
-    not: TsxNot,
-    and2: TsxAnd,
-}
+pub struct TsxXor([TsxGate; 3]);
 
 impl TsxXor {
-    /// Describes the circuit with freshly allocated registers.
+    /// Describes the circuit with freshly allocated input, output and
+    /// private intermediate registers.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
     pub fn spec(lay: &mut Layout) -> Result<GateSpec<Self>> {
-        let in_a = lay.alloc_var()?;
-        let in_b = lay.alloc_var()?;
-        let out = lay.alloc_var()?;
-        Self::spec_wired(lay, in_a, in_b, out)
-    }
-
-    /// Describes the circuit over existing input/output registers,
-    /// allocating private intermediates.
-    ///
-    /// # Errors
-    ///
-    /// Fails on layout exhaustion or assembly error.
-    pub fn spec_wired(lay: &mut Layout, in_a: u64, in_b: u64, out: u64) -> Result<GateSpec<Self>> {
-        let d_and = lay.alloc_var()?;
-        let d_or = lay.alloc_var()?;
-        let d_not = lay.alloc_var()?;
+        let mut regs = [0; 6];
+        for r in &mut regs {
+            *r = lay.alloc_var()?;
+        }
+        let [in_a, in_b, out, d_and, d_or, d_not] = regs;
         let mut units = Vec::new();
-        let gate = Self {
-            and_or: TsxAndOr::spec_wired(lay, in_a, in_b, d_and, d_or)?.into_gate(&mut units),
-            not: TsxNot::spec_wired(lay, d_and, d_not)?.into_gate(&mut units),
-            and2: TsxAnd::spec_wired(lay, d_or, d_not, out)?.into_gate(&mut units),
+        let mut wire = |op, ins: &[u64], outs: &[u64]| -> Result<TsxGate> {
+            Ok(TsxGate::spec_wired(lay, op, ins, outs)?.into_gate(&mut units))
         };
-        Ok(GateSpec::new(gate, units))
-    }
-
-    /// First input register address.
-    pub fn in_a(&self) -> u64 {
-        self.and_or.in_a()
-    }
-
-    /// Second input register address.
-    pub fn in_b(&self) -> u64 {
-        self.and_or.in_b()
-    }
-
-    /// Output register address.
-    pub fn out(&self) -> u64 {
-        self.and2.out()
-    }
-
-    /// Initializes all outputs and intermediates.
-    pub fn prepare<S: Substrate + ?Sized>(&self, s: &mut S) {
-        self.and_or.prepare(s);
-        self.not.prepare(s);
-        self.and2.prepare(s);
-    }
-
-    /// Activates the three transactions in dataflow order. All
-    /// intermediate values live only in cache state.
-    pub fn activate<S: Substrate + ?Sized>(&self, s: &mut S) {
-        self.and_or.activate(s);
-        self.not.activate(s);
-        self.and2.activate(s);
-    }
-
-    /// Full protocol with explicit input bits.
-    pub fn execute<S: Substrate + ?Sized>(&self, s: &mut S, a: bool, b: bool) -> bool {
-        self.execute_reading(s, a, b).bit
-    }
-
-    /// Full protocol, reporting the raw output-read delay.
-    pub fn execute_reading<S: Substrate + ?Sized>(
-        &self,
-        s: &mut S,
-        a: bool,
-        b: bool,
-    ) -> GateReading {
-        self.prepare(s);
-        set_dc(s, self.and_or.in_a(), a);
-        set_dc(s, self.and_or.in_b(), b);
-        self.activate(s);
-        decode(s, self.and2.out, self.and2.threshold)
+        let gates = [
+            wire(TsxOp::AndOr, &[in_a, in_b], &[d_and, d_or])?,
+            wire(TsxOp::Not, &[d_and], &[d_not])?,
+            wire(TsxOp::And, &[d_or, d_not], &[out])?,
+        ];
+        Ok(GateSpec::new(Self(gates), units))
     }
 }
 
@@ -848,31 +442,32 @@ impl WeirdGate for TsxXor {
         inputs[0] ^ inputs[1]
     }
 
+    /// Initializes all outputs and intermediates, stores the inputs, then
+    /// activates the three transactions in dataflow order; all
+    /// intermediate values live only in cache state.
     fn execute_timed(&self, s: &mut dyn Substrate, inputs: &[bool]) -> Result<GateReading> {
-        check_arity(self.name(), 2, inputs)?;
-        Ok(self.execute_reading(s, inputs[0], inputs[1]))
+        check_arity(self.name(), 2, inputs.len())?;
+        let [and_or, _, and] = &self.0;
+        for g in &self.0 {
+            g.prepare(s);
+        }
+        for (&addr, &bit) in and_or.inputs().iter().zip(inputs) {
+            set_dc(s, addr, bit);
+        }
+        for g in &self.0 {
+            g.activate(s);
+        }
+        Ok(and.read(s, 0))
     }
 }
 
-bind_on_out!(
-    TsxAssign => out,
-    TsxAnd => out,
-    TsxOr => out,
-    TsxAndOr => out_and,
-    TsxNot => out,
-);
-
 impl Bind for TsxXor {
     fn out_line(&self) -> u64 {
-        self.and2.out
+        self.0[2].out_line()
     }
 
     fn with_threshold(self, threshold: u64) -> Self {
-        Self {
-            and_or: self.and_or.with_threshold(threshold),
-            not: self.not.with_threshold(threshold),
-            and2: self.and2.with_threshold(threshold),
-        }
+        Self(self.0.map(|g| g.with_threshold(threshold)))
     }
 }
 
@@ -890,32 +485,30 @@ mod tests {
         (m, lay)
     }
 
+    fn assert_truth_table(op: TsxOp) {
+        let (mut m, mut lay) = setup();
+        let g = TsxGate::spec(&mut lay, op).unwrap().instantiate(&mut m);
+        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+    }
+
     #[test]
     fn assign_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        assert_truth_table(TsxOp::Assign);
     }
 
     #[test]
     fn and_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        assert_truth_table(TsxOp::And);
     }
 
     #[test]
     fn or_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxOr::spec(&mut lay).unwrap().instantiate(&mut m);
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        assert_truth_table(TsxOp::Or);
     }
 
     #[test]
     fn not_truth_table() {
-        let (mut m, mut lay) = setup();
-        let g = TsxNot::spec(&mut lay).unwrap().instantiate(&mut m);
-        assert_eq!(verify_truth_table(&g, &mut m).unwrap(), None);
+        assert_truth_table(TsxOp::Not);
     }
 
     #[test]
@@ -928,9 +521,13 @@ mod tests {
     #[test]
     fn and_or_computes_both_outputs() {
         let (mut m, mut lay) = setup();
-        let g = TsxAndOr::spec(&mut lay).unwrap().instantiate(&mut m);
+        let g = TsxGate::spec(&mut lay, TsxOp::AndOr)
+            .unwrap()
+            .instantiate(&mut m);
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            assert_eq!(g.execute(&mut m, a, b), (a & b, a | b), "inputs ({a},{b})");
+            g.run(&mut m, &[a, b]).unwrap();
+            let got = [g.read(&mut m, 0).bit, g.read(&mut m, 1).bit];
+            assert_eq!(got, [a & b, a | b], "inputs ({a},{b})");
         }
     }
 
@@ -941,7 +538,7 @@ mod tests {
         for i in 0..100 {
             let a = (i >> 1) % 2 == 0;
             let b = i % 2 == 0;
-            assert_eq!(g.execute(&mut m, a, b), a ^ b, "iteration {i}");
+            assert_eq!(g.execute(&mut m, &[a, b]).unwrap(), a ^ b, "iteration {i}");
         }
     }
 
@@ -953,7 +550,7 @@ mod tests {
     #[test]
     fn same_spec_instantiates_on_both_backends() {
         let mut lay = Layout::new(crate::substrate::flat::DEFAULT_ALIAS_STRIDE);
-        let spec = TsxAnd::spec(&mut lay).unwrap();
+        let spec = TsxGate::spec(&mut lay, TsxOp::And).unwrap();
 
         let mut m = Machine::new(MachineConfig::quiet(), 0);
         let g_sim = spec.instantiate(&mut m);
@@ -966,15 +563,37 @@ mod tests {
             g_flat.with_threshold(0),
             "specs bind the same wiring everywhere"
         );
-        let first = g_flat.execute_reading(&mut f, false, false);
+        let first = g_flat.execute_timed(&mut f, &[false, false]).unwrap();
         assert!(!first.bit, "flat reads sit at the threshold: 0");
         for (a, b) in [(false, true), (true, false), (true, true)] {
             assert_eq!(
-                g_flat.execute_reading(&mut f, a, b),
+                g_flat.execute_timed(&mut f, &[a, b]).unwrap(),
                 first,
                 "flat backend: output bit and delay are input-independent"
             );
         }
+    }
+
+    #[test]
+    fn spec_wired_checks_register_counts() {
+        let (_m, mut lay) = setup();
+        let r = lay.alloc_var().unwrap();
+        assert!(matches!(
+            TsxGate::spec_wired(&mut lay, TsxOp::And, &[r], &[r]),
+            Err(crate::error::CoreError::Arity {
+                gate: "TSX_AND",
+                expected: 2,
+                got: 1,
+            })
+        ));
+        assert!(matches!(
+            TsxGate::spec_wired(&mut lay, TsxOp::AndOr, &[r, r], &[r]),
+            Err(crate::error::CoreError::Arity {
+                expected: 2,
+                got: 1,
+                ..
+            })
+        ));
     }
 
     /// The paper's central claim for TSX gates: the transaction aborts, so
@@ -982,10 +601,13 @@ mod tests {
     #[test]
     fn aborted_gate_body_is_architecturally_invisible() {
         let (mut m, mut lay) = setup();
-        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
+        let g = TsxGate::spec(&mut lay, TsxOp::And)
+            .unwrap()
+            .instantiate(&mut m);
         g.prepare(&mut m);
-        set_dc(&mut m, g.in_a(), true);
-        set_dc(&mut m, g.in_b(), true);
+        for &addr in g.inputs() {
+            set_dc(&mut m, addr, true);
+        }
         *m.tracer_mut() = Tracer::new();
         g.activate(&mut m);
         let events = m.tracer().events().to_vec();
@@ -1007,14 +629,19 @@ mod tests {
     #[test]
     fn activation_trace_is_input_independent() {
         let (mut m, mut lay) = setup();
-        let g = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
+        let TsxXor(gates) = TsxXor::spec(&mut lay).unwrap().instantiate(&mut m);
         let mut prints = Vec::new();
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            g.prepare(&mut m);
-            set_dc(&mut m, g.in_a(), a);
-            set_dc(&mut m, g.in_b(), b);
+            for g in &gates {
+                g.prepare(&mut m);
+            }
+            for (&addr, bit) in gates[0].inputs().iter().zip([a, b]) {
+                set_dc(&mut m, addr, bit);
+            }
             *m.tracer_mut() = Tracer::new();
-            g.activate(&mut m);
+            for g in &gates {
+                g.activate(&mut m);
+            }
             prints.push(m.tracer().fingerprint());
             *m.tracer_mut() = Tracer::disabled();
         }
@@ -1026,13 +653,12 @@ mod tests {
     #[test]
     fn repeated_activation_is_contiguous() {
         let (mut m, mut lay) = setup();
-        let g = TsxAssign::spec(&mut lay).unwrap().instantiate(&mut m);
-        g.prepare(&mut m);
-        set_dc(&mut m, g.input(), true);
+        let g = TsxGate::spec(&mut lay, TsxOp::Assign)
+            .unwrap()
+            .instantiate(&mut m);
+        g.run(&mut m, &[true]).unwrap();
         g.activate(&mut m);
         g.activate(&mut m);
-        g.activate(&mut m);
-        let r = decode(&mut m, g.out(), g.threshold);
-        assert!(r.bit);
+        assert!(g.read(&mut m, 0).bit);
     }
 }

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, Result};
     pub use crate::exec::ShardedExecutor;
     pub use crate::gate::bp::{BpAnd, BpAndAndOr, BpNand, BpOr};
-    pub use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr, TsxXor};
+    pub use crate::gate::tsx::{TsxGate, TsxOp, TsxXor};
     pub use crate::gate::{GateReading, GateSpec, ProgramUnit, WeirdGate};
     pub use crate::layout::Layout;
     pub use crate::reg::{BpWr, BtbWr, DcWr, IcWr, MulWr, RobWr, VmxWr, WeirdRegister};

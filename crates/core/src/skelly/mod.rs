@@ -18,7 +18,7 @@ pub use crate::gate::calibrate_threshold;
 use crate::error::Result;
 use crate::gate::bp::{BpAnd, BpAndAndOr, BpNand, BpOr};
 use crate::gate::sealed::Bind;
-use crate::gate::tsx::{TsxAnd, TsxAndOr, TsxAssign, TsxNot, TsxOr, TsxXor};
+use crate::gate::tsx::{TsxGate, TsxOp, TsxXor};
 use crate::gate::{GateReading, GateSpec, WeirdGate};
 use crate::layout::Layout;
 use crate::substrate::flat::DEFAULT_ALIAS_STRIDE;
@@ -70,11 +70,11 @@ impl SkellySpec {
             bp_or: BpOr::spec(&mut lay)?.into_gate(&mut units),
             bp_nand: BpNand::spec(&mut lay)?.into_gate(&mut units),
             bp_aao: BpAndAndOr::spec(&mut lay)?.into_gate(&mut units),
-            tsx_assign: TsxAssign::spec(&mut lay)?.into_gate(&mut units),
-            tsx_and: TsxAnd::spec(&mut lay)?.into_gate(&mut units),
-            tsx_or: TsxOr::spec(&mut lay)?.into_gate(&mut units),
-            tsx_and_or: TsxAndOr::spec(&mut lay)?.into_gate(&mut units),
-            tsx_not: TsxNot::spec(&mut lay)?.into_gate(&mut units),
+            tsx_assign: TsxGate::spec(&mut lay, TsxOp::Assign)?.into_gate(&mut units),
+            tsx_and: TsxGate::spec(&mut lay, TsxOp::And)?.into_gate(&mut units),
+            tsx_or: TsxGate::spec(&mut lay, TsxOp::Or)?.into_gate(&mut units),
+            tsx_and_or: TsxGate::spec(&mut lay, TsxOp::AndOr)?.into_gate(&mut units),
+            tsx_not: TsxGate::spec(&mut lay, TsxOp::Not)?.into_gate(&mut units),
             tsx_xor: TsxXor::spec(&mut lay)?.into_gate(&mut units),
             probe: lay.alloc_var()?,
             threshold: 0,
@@ -120,11 +120,11 @@ struct Gates {
     bp_or: BpOr,
     bp_nand: BpNand,
     bp_aao: BpAndAndOr,
-    tsx_assign: TsxAssign,
-    tsx_and: TsxAnd,
-    tsx_or: TsxOr,
-    tsx_and_or: TsxAndOr,
-    tsx_not: TsxNot,
+    tsx_assign: TsxGate,
+    tsx_and: TsxGate,
+    tsx_or: TsxGate,
+    tsx_and_or: TsxGate,
+    tsx_not: TsxGate,
     tsx_xor: TsxXor,
     probe: u64,
     threshold: u64,
@@ -382,7 +382,7 @@ impl<S: Substrate> Skelly<S> {
     }
 
     /// The TSX AND-OR gate instance (both-outputs measurements, Table 6).
-    pub fn tsx_and_or_gate(&self) -> TsxAndOr {
+    pub fn tsx_and_or_gate(&self) -> TsxGate {
         self.gates.tsx_and_or
     }
 

@@ -335,12 +335,14 @@ mod tests {
 
     #[test]
     fn paper_redundancy_votes_a_real_gate_correctly() {
-        use crate::gate::tsx::TsxAnd;
+        use crate::gate::tsx::{TsxGate, TsxOp};
         use crate::layout::Layout;
         // A real gate on a noisy machine, voted at the paper's redundancy.
         let mut m = Machine::new(uwm_sim::machine::MachineConfig::default(), 11);
         let mut lay = Layout::new(m.predictor().alias_stride());
-        let g = TsxAnd::spec(&mut lay).unwrap().instantiate(&mut m);
+        let g = TsxGate::spec(&mut lay, TsxOp::And)
+            .unwrap()
+            .instantiate(&mut m);
         let red = Redundancy::paper();
         let mut bank = CounterBank::new();
         for bits in 0..4u32 {

@@ -23,7 +23,7 @@ fn main() -> Result<()> {
     let gate = BpAnd::spec(&mut lay)?.instantiate(&mut m);
     println!("\nBranch-predictor AND gate (Figure 1):");
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-        let r = gate.execute_reading(&mut m, a, b);
+        let r = gate.execute_timed(&mut m, &[a, b])?;
         println!(
             "  {} AND {} = {}   (output read took {} cycles)",
             a as u8, b as u8, r.bit as u8, r.delay
