@@ -177,16 +177,6 @@ impl Sha1Batch {
         })
     }
 
-    /// The base seed items derive their per-item noise seeds from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The executor the batch fans out on.
-    pub fn executor(&self) -> &ShardedExecutor {
-        &self.exec
-    }
-
     fn pool(&self) -> ShardPool {
         let sk = self.spec.instantiate(self.cfg.clone(), self.seed);
         let snap = sk.machine().snapshot();

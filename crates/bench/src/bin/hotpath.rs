@@ -382,7 +382,7 @@ fn main() {
     let restore_items = scaled(256, args.scale);
     let (restore_ns, restore_over_bp_and) = restore_measurement(&circuit, seed + 7, restore_items);
 
-    // A sharded AND run exercises the per-shard scratch reuse path.
+    // A sharded AND run: the table bins' gate runner, fanned over shards.
     let sharded_ops = scaled(16 * uwm_bench::GATE_BATCH_OPS, args.scale);
     let sharded = gate_performance_sharded("AND", sharded_ops, seed + 3, args.shards);
 

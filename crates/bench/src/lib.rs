@@ -2,26 +2,25 @@
 //!
 //! Reusable experiment runners that regenerate every table and figure of
 //! the paper's evaluation (§6). Each `src/bin/table*.rs` binary prints one
-//! table in the paper's row format; the Criterion benches under `benches/`
-//! measure host-side throughput and ablations.
+//! table in the paper's row format; the `ablation` bench under `benches/`
+//! sweeps gate accuracy against noise, redundancy and window length.
 //!
 //! | Experiment | Runner | Binary |
 //! |---|---|---|
-//! | Table 2 (gate perf + accuracy)     | [`gate_performance`]      | `table2` |
-//! | Table 3 + Fig 6 (trigger pings)    | [`trigger_distribution`]  | `table3_fig6` |
-//! | Table 4 (SHA-1 gate correctness)   | [`sha1_experiment`]       | `table4` |
-//! | Table 5 (BP/IC gate accuracy)      | [`gate_accuracy`]         | `table5` |
-//! | Figures 7–8 (timing KDEs)          | [`delay_histogram`]       | `fig7_fig8` |
-//! | Tables 6–7 (TSX read delays)       | [`delay_by_input`]        | `table6_table7` |
-//! | Table 8 (TSX accuracy + aborts)    | [`tsx_accuracy`]          | `table8` |
+//! | Table 2 (gate perf + accuracy)     | [`gate_performance_sharded`]     | `table2` |
+//! | Table 3 + Fig 6 (trigger pings)    | [`trigger_distribution_sharded`] | `table3_fig6` |
+//! | Table 4 (SHA-1 gate correctness)   | [`sha1_experiments_sharded`]     | `table4` |
+//! | Table 5 (BP/IC gate accuracy)      | [`gate_performance_sharded`]     | `table5` |
+//! | Figures 7–8 (timing KDEs)          | [`sharded_delays`], [`delay_histogram`] | `fig7_fig8` |
+//! | Tables 6–7 (TSX read delays)       | [`sharded_delays`]               | `table6_table7` |
+//! | Table 8 (TSX accuracy + aborts)    | [`gate_performance_sharded`]     | `table8` |
 //!
 //! Every binary accepts `--shards N` (fan hermetic trial batches across
 //! `N` OS threads; results are deterministic per seed regardless of `N`)
-//! and `--json PATH` (write a machine-readable report). The sharded
-//! runners ([`gate_performance_sharded`] and friends) build one
-//! machine-free [`SkellySpec`] and instantiate it per batch, so every
-//! batch is hermetic: its own machine, its own gate instances, its own
-//! seed derived by [`uwm_core::exec::batch_seed`].
+//! and `--json PATH` (write a machine-readable report). The gate runners
+//! build one machine-free [`SkellySpec`] and instantiate it per batch, so
+//! every batch is hermetic: its own machine, its own gate instances, its
+//! own seed derived by [`uwm_core::exec::batch_seed`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -63,20 +62,31 @@ pub struct BenchArgs {
     pub check_regression: Option<f64>,
 }
 
-/// Parses `[scale] [--shards N] [--json PATH] [--baseline PATH]
-/// [--check-regression FRAC]` from the process args.
+/// Parses the process args with [`parse`].
 ///
 /// Prints a usage message to stderr and exits with status 2 on malformed
 /// arguments.
 pub fn parse_args() -> BenchArgs {
-    fn usage(msg: &str) -> ! {
+    parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         eprintln!(
             "usage: [scale] [--shards N] [--json PATH] [--baseline PATH] \
              [--check-regression FRAC]"
         );
         std::process::exit(2);
-    }
+    })
+}
+
+/// Parses `[scale] [--shards N] [--json PATH] [--baseline PATH]
+/// [--check-regression FRAC]` (program name excluded). Every flag also
+/// takes its value as `--flag=value`; the scale must be finite and
+/// positive.
+///
+/// # Errors
+///
+/// Returns the message to report for an unknown flag, a missing or
+/// malformed value, or a bad scale.
+pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
     let mut out = BenchArgs {
         scale: 1.0,
         shards: 1,
@@ -84,54 +94,50 @@ pub fn parse_args() -> BenchArgs {
         baseline: None,
         check_regression: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--shards=") {
-            out.shards = v
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            let scale: f64 = arg
                 .parse()
-                .unwrap_or_else(|_| usage("--shards takes a positive integer"));
-        } else if a == "--shards" {
-            let Some(v) = args.next() else {
-                usage("--shards takes a value");
-            };
-            out.shards = v
-                .parse()
-                .unwrap_or_else(|_| usage("--shards takes a positive integer"));
-        } else if let Some(v) = a.strip_prefix("--json=") {
-            out.json = Some(v.into());
-        } else if a == "--json" {
-            let Some(v) = args.next() else {
-                usage("--json takes a path");
-            };
-            out.json = Some(v.into());
-        } else if let Some(v) = a.strip_prefix("--baseline=") {
-            out.baseline = Some(v.into());
-        } else if a == "--baseline" {
-            let Some(v) = args.next() else {
-                usage("--baseline takes a path");
-            };
-            out.baseline = Some(v.into());
-        } else if let Some(v) = a.strip_prefix("--check-regression=") {
-            out.check_regression = Some(
-                v.parse()
-                    .unwrap_or_else(|_| usage("--check-regression takes a fraction")),
-            );
-        } else if a == "--check-regression" {
-            let Some(v) = args.next() else {
-                usage("--check-regression takes a value");
-            };
-            out.check_regression = Some(
-                v.parse()
-                    .unwrap_or_else(|_| usage("--check-regression takes a fraction")),
-            );
-        } else {
-            out.scale = a
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("unrecognized argument {a:?}")));
+                .map_err(|_| format!("unrecognized argument {arg:?}"))?;
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(format!("scale must be finite and positive, got {arg:?}"));
+            }
+            out.scale = scale;
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_owned())),
+            None => (arg.as_str(), None),
+        };
+        if !matches!(
+            flag,
+            "--shards" | "--json" | "--baseline" | "--check-regression"
+        ) {
+            return Err(format!("unrecognized argument {arg:?}"));
+        }
+        let value = inline
+            .or_else(|| args.next())
+            .ok_or_else(|| format!("{flag} takes a value"))?;
+        match flag {
+            "--shards" => {
+                out.shards = value
+                    .parse()
+                    .map_err(|_| "--shards takes a positive integer".to_owned())?;
+            }
+            "--json" => out.json = Some(value.into()),
+            "--baseline" => out.baseline = Some(value.into()),
+            _ => {
+                out.check_regression = Some(
+                    value
+                        .parse()
+                        .map_err(|_| "--check-regression takes a fraction".to_owned())?,
+                );
+            }
         }
     }
     out.shards = out.shards.max(1);
-    out
+    Ok(out)
 }
 
 /// Writes `report` to `args.json` when the flag was given. A write failure
@@ -153,7 +159,7 @@ pub fn scaled(n: u64, scale: f64) -> u64 {
 }
 
 /// Result of a gate accuracy / throughput run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GateRun {
     /// Gate executions performed.
     pub ops: u64,
@@ -196,41 +202,6 @@ impl GateRun {
     }
 }
 
-/// Executes `gate` (by table name) `ops` times with random inputs on a
-/// default-noise machine and reports accuracy + throughput. This is the
-/// Table 2 / Table 5 / Table 8 measurement core.
-pub fn gate_run(sk: &mut Skelly, name: &str, ops: u64, seed: u64) -> GateRun {
-    let arity = sk.arity_named(name);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut correct = 0u64;
-    let aborts_before = sk.machine().stats().tx_spurious_aborts;
-    let cycles_before = sk.machine().cycles();
-    let start = Instant::now();
-    let mut inputs = vec![false; arity];
-    for _ in 0..ops {
-        for b in &mut inputs {
-            *b = rng.gen();
-        }
-        let r = sk.execute_named(name, &inputs).expect("arity matches");
-        if r.bit == sk.truth_named(name, &inputs) {
-            correct += 1;
-        }
-    }
-    GateRun {
-        ops,
-        correct,
-        seconds: start.elapsed().as_secs_f64(),
-        sim_cycles: sk.machine().cycles() - cycles_before,
-        spurious_aborts: sk.machine().stats().tx_spurious_aborts - aborts_before,
-    }
-}
-
-/// [`gate_run`] on a fresh default-noise machine.
-pub fn gate_performance(name: &str, ops: u64, seed: u64) -> GateRun {
-    let mut sk = Skelly::noisy(seed).expect("skelly builds");
-    gate_run(&mut sk, name, ops, seed ^ 0xBEEF)
-}
-
 /// Operations per hermetic batch in the sharded runners. Fixed, so the
 /// batch split — and therefore every per-batch seed — depends only on the
 /// total operation count, never on the shard count: merged results are
@@ -267,70 +238,70 @@ impl ShardedGateRun {
     }
 }
 
-struct GateBatch {
-    ops: u64,
-    correct: u64,
-    sim_cycles: u64,
-    spurious_aborts: u64,
-    delays: Vec<u64>,
+/// The one per-batch loop of the gate runners: splits `ops` into hermetic
+/// batches of [`GATE_BATCH_OPS`], gives each a skelly instantiated from
+/// one shared spec under default noise (seeded `batch_seed(seed, i)`) and
+/// an RNG seeded `batch_seed(seed ^ salt, i)`, and returns `work(skelly,
+/// rng, batch_ops)` for every batch in batch order.
+fn skelly_batches<R, F>(ops: u64, seed: u64, salt: u64, shards: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut Skelly, &mut StdRng, u64) -> R + Sync,
+{
+    let spec = SkellySpec::new().expect("spec builds");
+    let batches = ops.div_ceil(GATE_BATCH_OPS).max(1) as usize;
+    ShardedExecutor::new(shards).run(batches, |i| {
+        let n = GATE_BATCH_OPS.min(ops - i as u64 * GATE_BATCH_OPS);
+        let mut sk = spec.instantiate(MachineConfig::default(), batch_seed(seed, i));
+        let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ salt, i));
+        work(&mut sk, &mut rng, n)
+    })
 }
 
-/// [`gate_performance`] fanned across `shards` threads: one machine-free
-/// [`SkellySpec`] instantiated per hermetic batch of [`GATE_BATCH_OPS`]
-/// operations. Merged counts and delay statistics are deterministic per
-/// `(name, ops, seed)` for every shard count.
+/// Executes `name` (by table name) `ops` times with random inputs on
+/// default-noise skellies, fanned across `shards` threads in hermetic
+/// batches, and reports accuracy, throughput and delay statistics — the
+/// Table 2 / Table 5 / Table 8 measurement. Merged counts and delay
+/// statistics are deterministic per `(name, ops, seed)` for every shard
+/// count.
 pub fn gate_performance_sharded(name: &str, ops: u64, seed: u64, shards: usize) -> ShardedGateRun {
-    let spec = SkellySpec::new().expect("spec builds");
-    let exec = ShardedExecutor::new(shards);
-    let batches = ops.div_ceil(GATE_BATCH_OPS).max(1) as usize;
     let start = Instant::now();
-    // Per-shard scratch: the input buffer survives across a worker's
-    // batches; its contents are fully overwritten before each use.
-    let parts = exec.run_with(batches, Vec::new, |i, inputs: &mut Vec<bool>| {
-        let done = i as u64 * GATE_BATCH_OPS;
-        let batch_ops = GATE_BATCH_OPS.min(ops - done);
-        let mut sk = spec.instantiate(MachineConfig::default(), batch_seed(seed, i));
-        let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ 0xBEEF, i));
-        let arity = sk.arity_named(name);
-        inputs.clear();
-        inputs.resize(arity, false);
+    let parts = skelly_batches(ops, seed, 0xBEEF, shards, |sk, rng, batch_ops| {
+        let mut inputs = vec![false; sk.arity_named(name)];
         let aborts_before = sk.machine().stats().tx_spurious_aborts;
         let cycles_before = sk.machine().cycles();
         let mut correct = 0u64;
         let mut delays = Vec::with_capacity(batch_ops as usize);
         for _ in 0..batch_ops {
-            for b in inputs.iter_mut() {
+            for b in &mut inputs {
                 *b = rng.gen();
             }
-            let r = sk.execute_named(name, inputs).expect("arity matches");
-            if r.bit == sk.truth_named(name, inputs) {
+            let r = sk.execute_named(name, &inputs).expect("arity matches");
+            if r.bit == sk.truth_named(name, &inputs) {
                 correct += 1;
             }
             delays.push(r.delay);
         }
-        GateBatch {
+        let run = GateRun {
             ops: batch_ops,
             correct,
             sim_cycles: sk.machine().cycles() - cycles_before,
             spurious_aborts: sk.machine().stats().tx_spurious_aborts - aborts_before,
-            delays,
-        }
+            ..GateRun::default()
+        };
+        (run, delays)
     });
-    let seconds = start.elapsed().as_secs_f64();
     let mut run = GateRun {
-        ops: 0,
-        correct: 0,
-        seconds,
-        sim_cycles: 0,
-        spurious_aborts: 0,
+        seconds: start.elapsed().as_secs_f64(),
+        ..GateRun::default()
     };
     let mut delays = Vec::with_capacity(ops as usize);
-    for p in &parts {
+    for (p, batch_delays) in &parts {
         run.ops += p.ops;
         run.correct += p.correct;
         run.sim_cycles += p.sim_cycles;
         run.spurious_aborts += p.spurious_aborts;
-        delays.extend_from_slice(&p.delays);
+        delays.extend_from_slice(batch_delays);
     }
     let delays = if delays.is_empty() {
         Summary::from_samples(&[0])
@@ -339,7 +310,7 @@ pub fn gate_performance_sharded(name: &str, ops: u64, seed: u64, shards: usize) 
     };
     ShardedGateRun {
         run,
-        shards: exec.shards(),
+        shards: ShardedExecutor::new(shards).shards(),
         delays,
     }
 }
@@ -353,17 +324,8 @@ pub fn sharded_delays<F>(ops: u64, seed: u64, shards: usize, sample: F) -> Vec<u
 where
     F: Fn(&mut Skelly, &mut StdRng) -> u64 + Sync,
 {
-    let spec = SkellySpec::new().expect("spec builds");
-    let exec = ShardedExecutor::new(shards);
-    let batches = ops.div_ceil(GATE_BATCH_OPS).max(1) as usize;
-    exec.run(batches, |i| {
-        let done = i as u64 * GATE_BATCH_OPS;
-        let n = GATE_BATCH_OPS.min(ops - done);
-        let mut sk = spec.instantiate(MachineConfig::default(), batch_seed(seed, i));
-        let mut rng = StdRng::seed_from_u64(batch_seed(seed ^ 0xF00D, i));
-        (0..n)
-            .map(|_| sample(&mut sk, &mut rng))
-            .collect::<Vec<u64>>()
+    skelly_batches(ops, seed, 0xF00D, shards, |sk, rng, n| {
+        (0..n).map(|_| sample(sk, rng)).collect::<Vec<u64>>()
     })
     .concat()
 }
@@ -394,14 +356,6 @@ where
     merged
 }
 
-/// Collects raw output-read delays of `gate` for one fixed input
-/// combination — the Tables 6–7 measurement.
-pub fn delay_by_input(sk: &mut Skelly, name: &str, inputs: &[bool], ops: u64) -> Vec<u64> {
-    (0..ops)
-        .map(|_| sk.execute_named(name, inputs).expect("arity matches").delay)
-        .collect()
-}
-
 /// Buckets `delays` for the Figure 7–8 "KDE" view: returns
 /// `(bucket_start, count)` pairs with the given bucket width.
 pub fn delay_histogram(delays: &[u64], bucket: u64) -> Vec<(u64, u64)> {
@@ -412,28 +366,12 @@ pub fn delay_histogram(delays: &[u64], bucket: u64) -> Vec<(u64, u64)> {
     map.into_iter().collect()
 }
 
-/// TSX gate accuracy + spurious aborts over `ops` random-input executions
-/// (Table 8).
-pub fn tsx_accuracy(name: &str, ops: u64, seed: u64) -> GateRun {
-    gate_performance(name, ops, seed)
-}
-
-/// BP/IC gate accuracy over `ops` random-input executions (Table 5).
-pub fn gate_accuracy(name: &str, ops: u64, seed: u64) -> GateRun {
-    gate_performance(name, ops, seed)
-}
-
-/// Runs `experiments` arm-and-trigger experiments and returns the number
-/// of pings each needed before the payload fired (Table 3 / Figure 6).
-/// `cap` bounds each experiment so pathological noise cannot hang it.
-pub fn trigger_distribution(experiments: u32, cap: u32, seed: u64) -> Vec<u32> {
-    trigger_distribution_sharded(experiments, cap, seed, 1)
-}
-
-/// [`trigger_distribution`] with each arm-and-trigger experiment fanned
-/// across `shards` threads. Experiments are hermetic by construction
-/// (each builds its own machine from `seed + index`), so the counts are
-/// identical for every shard count.
+/// Runs `experiments` arm-and-trigger experiments fanned across `shards`
+/// threads and returns the number of pings each needed before the payload
+/// fired (Table 3 / Figure 6). `cap` bounds each experiment so
+/// pathological noise cannot hang it. Experiments are hermetic by
+/// construction (each builds its own machine from `seed + index`), so the
+/// counts are identical for every shard count.
 pub fn trigger_distribution_sharded(
     experiments: u32,
     cap: u32,
@@ -467,28 +405,9 @@ pub struct Sha1Experiment {
     pub counters: Vec<(&'static str, GateCounters)>,
 }
 
-/// Hashes `message` on weird gates with the given redundancy under
-/// default noise, and reports per-gate median/vote correctness — the
-/// Table 4 experiment.
-pub fn sha1_experiment(message: &[u8], red: Redundancy, seed: u64) -> Sha1Experiment {
-    sha1_experiment_cfg(MachineConfig::default(), message, red, seed)
-}
-
-/// Independent [`sha1_experiment`] runs (seeds `seed..seed+runs`) fanned
-/// across `shards` threads, returned in run order.
-pub fn sha1_experiments_sharded(
-    message: &[u8],
-    red: Redundancy,
-    seed: u64,
-    runs: u32,
-    shards: usize,
-) -> Vec<Sha1Experiment> {
-    ShardedExecutor::new(shards).run(runs as usize, |r| {
-        sha1_experiment(message, red, seed.wrapping_add(r as u64))
-    })
-}
-
-/// [`sha1_experiment`] with an explicit machine configuration.
+/// Hashes `message` on weird gates of a `cfg` machine with the given
+/// redundancy, and reports per-gate median/vote correctness — the Table 4
+/// experiment.
 pub fn sha1_experiment_cfg(
     cfg: MachineConfig,
     message: &[u8],
@@ -506,6 +425,26 @@ pub fn sha1_experiment_cfg(
         seconds,
         counters: sk.counters().iter().map(|(n, c)| (n, *c)).collect(),
     }
+}
+
+/// Independent default-noise [`sha1_experiment_cfg`] runs (seeds
+/// `seed..seed+runs`) fanned across `shards` threads, returned in run
+/// order.
+pub fn sha1_experiments_sharded(
+    message: &[u8],
+    red: Redundancy,
+    seed: u64,
+    runs: u32,
+    shards: usize,
+) -> Vec<Sha1Experiment> {
+    ShardedExecutor::new(shards).run(runs as usize, |r| {
+        sha1_experiment_cfg(
+            MachineConfig::default(),
+            message,
+            red,
+            seed.wrapping_add(r as u64),
+        )
+    })
 }
 
 /// Formats a [`Summary`] like the paper's Min/Q1/Med/Q3/Max/σ rows.
@@ -528,14 +467,19 @@ pub fn summary_header(first_col: &str) -> String {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Result<BenchArgs, String> {
+        parse(list.iter().map(|a| (*a).to_owned()))
+    }
+
     #[test]
     fn gate_run_counts_and_times() {
-        let mut sk = Skelly::quiet(0).unwrap();
-        let r = gate_run(&mut sk, "TSX_AND", 50, 1);
-        assert_eq!(r.ops, 50);
-        assert_eq!(r.correct, 50, "quiet machine is exact");
-        assert!(r.sim_cycles > 0);
-        assert!((r.accuracy() - 1.0).abs() < f64::EPSILON);
+        let r = gate_performance_sharded("TSX_AND", 50, 1, 1);
+        assert_eq!(r.run.ops, 50);
+        assert!(r.run.correct <= r.run.ops);
+        assert!(r.run.accuracy() > 0.9, "accuracy {}", r.run.accuracy());
+        assert!(r.run.sim_cycles > 0);
+        assert!(r.delays.max >= r.delays.median && r.delays.median > 0);
+        assert_eq!(r.shards, 1);
     }
 
     #[test]
@@ -546,9 +490,17 @@ mod tests {
 
     #[test]
     fn trigger_distribution_quiet_cap() {
-        let counts = trigger_distribution(2, 50, 1000);
+        let counts = trigger_distribution_sharded(2, 50, 1000, 2);
         assert_eq!(counts.len(), 2);
         assert!(counts.iter().all(|&c| (1..=50).contains(&c)));
+    }
+
+    #[test]
+    fn trigger_distribution_is_shard_count_invariant() {
+        assert_eq!(
+            trigger_distribution_sharded(3, 20, 7, 1),
+            trigger_distribution_sharded(3, 20, 7, 3)
+        );
     }
 
     #[test]
@@ -563,5 +515,74 @@ mod tests {
         let r = sha1_experiment_cfg(MachineConfig::quiet(), b"a", Redundancy::default(), 4);
         assert!(r.correct);
         assert!(r.counters.iter().any(|(n, _)| *n == "NAND"));
+    }
+
+    #[test]
+    fn sha1_experiments_are_shard_count_invariant() {
+        let runs = |shards| sha1_experiments_sharded(b"a", Redundancy::default(), 9, 3, shards);
+        let (one, three) = (runs(1), runs(3));
+        assert_eq!(one.len(), 3);
+        for (a, b) in one.iter().zip(&three) {
+            assert_eq!((a.digest, a.correct), (b.digest, b.correct));
+            assert_eq!(a.counters, b.counters);
+        }
+    }
+
+    #[test]
+    fn parse_defaults() {
+        let a = args(&[]).unwrap();
+        assert_eq!((a.scale, a.shards), (1.0, 1));
+        assert!(a.json.is_none() && a.baseline.is_none() && a.check_regression.is_none());
+    }
+
+    #[test]
+    fn parse_accepts_both_flag_spellings() {
+        for list in [
+            &[
+                "0.5",
+                "--shards",
+                "3",
+                "--json",
+                "r.json",
+                "--baseline",
+                "b.json",
+                "--check-regression",
+                "0.2",
+            ][..],
+            &[
+                "--shards=3",
+                "--json=r.json",
+                "--baseline=b.json",
+                "--check-regression=0.2",
+                "0.5",
+            ][..],
+        ] {
+            let a = args(list).unwrap();
+            assert_eq!((a.scale, a.shards), (0.5, 3), "{list:?}");
+            assert_eq!(a.json.as_deref(), Some("r.json".as_ref()));
+            assert_eq!(a.baseline.as_deref(), Some("b.json".as_ref()));
+            assert_eq!(a.check_regression, Some(0.2));
+        }
+        assert_eq!(args(&["--shards", "0"]).unwrap().shards, 1, "clamped");
+    }
+
+    #[test]
+    fn parse_rejects_malformed_arguments() {
+        for flag in ["--shards", "--json", "--baseline", "--check-regression"] {
+            let err = args(&[flag]).unwrap_err();
+            assert!(err.contains("takes a value"), "{flag}: {err}");
+        }
+        assert!(args(&["--shards", "two"]).is_err());
+        assert!(args(&["--check-regression=x"]).is_err());
+        assert!(args(&["--verbose"]).unwrap_err().contains("unrecognized"));
+        assert!(args(&["fast"]).unwrap_err().contains("unrecognized"));
+    }
+
+    #[test]
+    fn parse_rejects_bad_scales() {
+        for bad in ["inf", "-inf", "nan", "-1", "0", "1e400"] {
+            let err = args(&[bad]).unwrap_err();
+            assert!(err.contains("finite and positive"), "{bad}: {err}");
+        }
     }
 }

@@ -102,21 +102,6 @@ impl BatchRunner {
         Self { plan, exec, seed }
     }
 
-    /// The compiled plan being evaluated.
-    pub fn plan(&self) -> &CircuitPlan {
-        &self.plan
-    }
-
-    /// The base seed item seeds derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Total gate evaluations for a batch of `items` inputs.
-    pub fn gate_evals(&self, items: usize) -> u64 {
-        self.plan.gate_count() as u64 * items as u64
-    }
-
     fn check_arity(&self, inputs: &[Vec<bool>]) -> Result<()> {
         for item in inputs {
             if item.len() != self.input_count() {

@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use crate::layout::Layout;
-use crate::reg::WeirdRegister;
+use crate::reg::{timed_run, Cut, WeirdRegister};
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
 
@@ -16,17 +16,19 @@ use uwm_sim::isa::{Assembler, Inst};
 pub struct BpWr {
     branch_pc: u64,
     cond: u64,
-    threshold: u64,
-    train_iters: u32,
+    cut: Cut,
 }
 
+/// Branch executions per write.
+const BP_TRAIN_ITERS: u32 = 4;
+
 impl BpWr {
-    /// Builds the register's private branch stub.
+    /// Builds the register's private branch stub and calibrates it.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let cond = lay.alloc_var()?;
         let branch_pc = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(branch_pc);
@@ -39,12 +41,13 @@ impl BpWr {
         a.push(Inst::Halt);
         s.install_program(&a.finish()?);
         s.warm_code_range(branch_pc, branch_pc + 16);
-        Ok(Self {
+        let mut r = Self {
             branch_pc,
             cond,
-            threshold: 20,
-            train_iters: 4,
-        })
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 
     /// Address of the branch carrying the state (for aliasing experiments).
@@ -52,30 +55,30 @@ impl BpWr {
         self.branch_pc
     }
 
-    fn run_branch<S: Substrate + ?Sized>(&self, s: &mut S, cond_value: u64) {
+    /// Sets the condition (warm, so resolution is fast) and times one
+    /// execution of the branch.
+    fn run_branch(&self, s: &mut dyn Substrate, cond_value: u64) -> u64 {
         s.write_word(self.cond, cond_value);
-        s.timed_read(self.cond); // keep resolution fast: warm condition
-        s.run_at(self.branch_pc);
+        s.timed_read(self.cond);
+        timed_run(s, self.branch_pc)
     }
 }
 
 impl WeirdRegister for BpWr {
     fn write(&self, s: &mut dyn Substrate, bit: bool) {
         // bit=1 → train not-taken (condition non-zero); bit=0 → taken.
-        let v = if bit { 1 } else { 0 };
-        for _ in 0..self.train_iters {
-            self.run_branch(s, v);
+        for _ in 0..BP_TRAIN_ITERS {
+            self.run_branch(s, u64::from(bit));
         }
     }
 
+    /// Executes the branch not-taken: fast when the predictor agreed.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        self.run_branch(s, 1)
+    }
+
     fn read(&self, s: &mut dyn Substrate) -> bool {
-        // Execute not-taken and time it: fast ⇒ predictor agreed ⇒ bit 1.
-        s.write_word(self.cond, 1);
-        s.timed_read(self.cond);
-        let before = s.cycles();
-        s.run_at(self.branch_pc);
-        let delay = s.cycles() - before;
-        delay < self.threshold
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {
@@ -94,19 +97,20 @@ pub struct BtbWr {
     jmp_pc: u64,
     target_b: u64,
     target_c: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 /// Scratch register the jump stub reads its target from.
 const TARGET_REG: u8 = 10;
 
 impl BtbWr {
-    /// Builds the register's private indirect-jump stub and two targets.
+    /// Builds the register's private indirect-jump stub and two targets,
+    /// and calibrates it.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let jmp_pc = lay.alloc_app_code(64)?;
         let target_b = lay.alloc_app_code(64)?;
         let target_c = lay.alloc_app_code(64)?;
@@ -118,21 +122,21 @@ impl BtbWr {
             a.push(Inst::Halt);
             s.install_program(&a.finish()?);
         }
-        Ok(Self {
+        let mut r = Self {
             jmp_pc,
             target_b,
             target_c,
-            threshold: 8,
-        })
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 
-    fn jump_to<S: Substrate + ?Sized>(&self, s: &mut S, target: u64) -> u64 {
+    fn jump_to(&self, s: &mut dyn Substrate, target: u64) -> u64 {
         s.set_reg(TARGET_REG, target);
         s.touch_code(self.jmp_pc); // isolate the BTB effect from I-cache state
         s.touch_code(target);
-        let before = s.cycles();
-        s.run_at(self.jmp_pc);
-        s.cycles() - before
+        timed_run(s, self.jmp_pc)
     }
 }
 
@@ -142,10 +146,13 @@ impl WeirdRegister for BtbWr {
         self.jump_to(s, target);
     }
 
+    /// Jumps to B: fast when the BTB held B (bit 0), slow when it held C.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        self.jump_to(s, self.target_b)
+    }
+
     fn read(&self, s: &mut dyn Substrate) -> bool {
-        // Jump to B: fast ⇒ BTB held B ⇒ bit 0; slow ⇒ held C ⇒ bit 1.
-        let delay = self.jump_to(s, self.target_b);
-        delay >= self.threshold + 2 * s.latency().l1 + s.latency().alu
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {

@@ -1,15 +1,11 @@
 //! Cache-residency weird registers: DC-WR and IC-WR.
 
 use crate::error::Result;
+use crate::gate::set_dc;
 use crate::layout::Layout;
-use crate::reg::{delay_to_bit, WeirdRegister};
+use crate::reg::{Cut, WeirdRegister};
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst};
-
-/// Default hit/miss decision threshold in cycles. Roughly midway between
-/// an L1 hit and a DRAM miss; [`crate::gate::calibrate_threshold`]
-/// computes a machine-specific value.
-pub const DEFAULT_THRESHOLD: u64 = 100;
 
 /// Data-cache weird register (§3.1's running example).
 ///
@@ -18,46 +14,48 @@ pub const DEFAULT_THRESHOLD: u64 = 100;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DcWr {
     addr: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 impl DcWr {
-    /// Allocates a fresh variable and wraps it as a DC-WR.
+    /// Allocates a fresh variable and wraps it as a calibrated DC-WR.
     ///
     /// # Errors
     ///
     /// Fails when the variable region is exhausted.
-    pub fn build<S: Substrate + ?Sized>(_s: &mut S, lay: &mut Layout) -> Result<Self> {
-        Ok(Self::at(lay.alloc_var()?, DEFAULT_THRESHOLD))
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
+        Ok(Self::at(s, lay.alloc_var()?))
     }
 
-    /// Wraps an existing line-aligned variable address.
-    pub fn at(addr: u64, threshold: u64) -> Self {
-        Self { addr, threshold }
+    /// Wraps an existing line-aligned variable address, calibrating on
+    /// `s`. Calibration leaves the line cached.
+    pub fn at(s: &mut dyn Substrate, addr: u64) -> Self {
+        let mut r = Self {
+            addr,
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        r
     }
 
     /// The variable's address (used to wire gates to this register).
     pub fn addr(&self) -> u64 {
         self.addr
     }
-
-    /// Raw timed-read delay (the Figure 7/8 measurement primitive).
-    pub fn read_delay<S: Substrate + ?Sized>(&self, s: &mut S) -> u64 {
-        s.timed_read(self.addr)
-    }
 }
 
 impl WeirdRegister for DcWr {
     fn write(&self, s: &mut dyn Substrate, bit: bool) {
-        if bit {
-            s.timed_read(self.addr);
-        } else {
-            s.flush_addr(self.addr);
-        }
+        set_dc(s, self.addr, bit);
+    }
+
+    /// A timed load (the Figure 7/8 measurement primitive).
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        s.timed_read(self.addr)
     }
 
     fn read(&self, s: &mut dyn Substrate) -> bool {
-        delay_to_bit(self.read_delay(s), self.threshold)
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {
@@ -73,44 +71,31 @@ impl WeirdRegister for DcWr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcWr {
     code_addr: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 impl IcWr {
-    /// Allocates a one-line code stub and wraps it as an IC-WR.
+    /// Allocates a one-line code stub and wraps it as a calibrated IC-WR.
     ///
     /// # Errors
     ///
     /// Fails if layout space is exhausted or assembly fails.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let code_addr = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(code_addr);
         a.push(Inst::Halt); // `call code` lands here and returns immediately
         s.install_program(&a.finish()?);
-        Ok(Self {
+        let mut r = Self {
             code_addr,
-            threshold: DEFAULT_THRESHOLD,
-        })
-    }
-
-    /// Wraps an existing code line.
-    pub fn at(code_addr: u64, threshold: u64) -> Self {
-        Self {
-            code_addr,
-            threshold,
-        }
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 
     /// Address of the code line carrying the bit.
     pub fn code_addr(&self) -> u64 {
         self.code_addr
-    }
-
-    /// Raw timed code-fetch delay.
-    pub fn read_delay<S: Substrate + ?Sized>(&self, s: &mut S) -> u64 {
-        let before = s.cycles();
-        s.touch_code(self.code_addr);
-        s.cycles() - before
     }
 }
 
@@ -123,8 +108,15 @@ impl WeirdRegister for IcWr {
         }
     }
 
+    /// A timed code fetch.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
+        let before = s.cycles();
+        s.touch_code(self.code_addr);
+        s.cycles() - before
+    }
+
     fn read(&self, s: &mut dyn Substrate) -> bool {
-        delay_to_bit(self.read_delay(s), self.threshold)
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {

@@ -6,7 +6,7 @@
 
 use crate::error::Result;
 use crate::layout::Layout;
-use crate::reg::WeirdRegister;
+use crate::reg::{timed_run, Cut, WeirdRegister};
 use crate::substrate::Substrate;
 use uwm_sim::isa::{Assembler, Inst, Operand};
 
@@ -19,19 +19,19 @@ use uwm_sim::isa::{Assembler, Inst, Operand};
 pub struct MulWr {
     burst_pc: u64,
     probe_pc: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 /// `mul` instructions issued per write-1 burst.
 const MUL_BURST: usize = 24;
 
 impl MulWr {
-    /// Builds the burst and probe stubs.
+    /// Builds the burst and probe stubs and calibrates the register.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let burst_pc = lay.alloc_app_code((MUL_BURST as u64 + 1) * 8)?;
         let mut a = Assembler::new(burst_pc);
         for _ in 0..MUL_BURST {
@@ -57,11 +57,13 @@ impl MulWr {
         s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
 
-        Ok(Self {
+        let mut r = Self {
             burst_pc,
             probe_pc,
-            threshold: 30,
-        })
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 }
 
@@ -75,11 +77,14 @@ impl WeirdRegister for MulWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
+    /// Times one `mul`: slow when the multiplier is backed up.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
         s.touch_code(self.probe_pc); // isolate contention from I-cache state
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        s.cycles() - before >= self.threshold
+        timed_run(s, self.probe_pc)
+    }
+
+    fn read(&self, s: &mut dyn Substrate) -> bool {
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {
@@ -98,19 +103,20 @@ pub struct RobWr {
     probe_pc: u64,
     /// First of the miss-target variables (one line each).
     targets: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 /// Cache-missing loads per write-1 burst.
 const ROB_BURST: usize = 8;
 
 impl RobWr {
-    /// Builds the burst/probe stubs and their private miss targets.
+    /// Builds the burst/probe stubs and their private miss targets, and
+    /// calibrates the register.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let targets = lay.alloc_var()?;
         for _ in 1..ROB_BURST {
             lay.alloc_var()?; // reserve the rest of the line run
@@ -135,12 +141,14 @@ impl RobWr {
         s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
 
-        Ok(Self {
+        let mut r = Self {
             burst_pc,
             probe_pc,
             targets,
-            threshold: 150,
-        })
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 }
 
@@ -158,11 +166,14 @@ impl WeirdRegister for RobWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
+    /// Times a `fence`: slow while the burst's misses occupy the ROB.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
         s.touch_code(self.probe_pc);
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        s.cycles() - before >= self.threshold
+        timed_run(s, self.probe_pc)
+    }
+
+    fn read(&self, s: &mut dyn Substrate) -> bool {
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {
@@ -177,26 +188,28 @@ impl WeirdRegister for RobWr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmxWr {
     probe_pc: u64,
-    threshold: u64,
+    cut: Cut,
 }
 
 impl VmxWr {
-    /// Builds the probe stub.
+    /// Builds the probe stub and calibrates the register.
     ///
     /// # Errors
     ///
     /// Fails on layout exhaustion or assembly error.
-    pub fn build<S: Substrate + ?Sized>(s: &mut S, lay: &mut Layout) -> Result<Self> {
+    pub fn build(s: &mut dyn Substrate, lay: &mut Layout) -> Result<Self> {
         let probe_pc = lay.alloc_app_code(64)?;
         let mut a = Assembler::new(probe_pc);
         a.push(Inst::Vmx);
         a.push(Inst::Halt);
         s.install_program(&a.finish()?);
         s.warm_code_range(probe_pc, probe_pc + 16);
-        Ok(Self {
+        let mut r = Self {
             probe_pc,
-            threshold: 200,
-        })
+            cut: Cut::default(),
+        };
+        r.cut = Cut::calibrate(&r, s);
+        Ok(r)
     }
 }
 
@@ -209,12 +222,14 @@ impl WeirdRegister for VmxWr {
         }
     }
 
-    fn read(&self, s: &mut dyn Substrate) -> bool {
+    /// Times one VMX instruction: fast while the machinery is warm.
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64 {
         s.touch_code(self.probe_pc);
-        let before = s.cycles();
-        s.run_at(self.probe_pc);
-        // Warm = fast = bit 1.
-        s.cycles() - before < self.threshold
+        timed_run(s, self.probe_pc)
+    }
+
+    fn read(&self, s: &mut dyn Substrate) -> bool {
+        self.cut.decode(self.read_delay(s))
     }
 
     fn name(&self) -> &'static str {

@@ -5,6 +5,16 @@
 //! training, contending) and read by *timing things* — never by reading an
 //! architectural location. Reads are invasive: they usually destroy or
 //! perturb the stored value ("state decoherence").
+//!
+//! # Decoding
+//!
+//! Each register has one timed probe, [`WeirdRegister::read_delay`], and
+//! decodes it against a cut calibrated on its own backend when it is
+//! built: the register writes 0 and 1 and times the probe after each,
+//! the cut is the midpoint of the two median delays, and the side with
+//! the faster median reads as 1. No register compares against a frozen
+//! constant, so each reads correctly on any backend whose 0 and 1 delays
+//! differ — the same rule gates follow ([`crate::gate`]).
 
 mod branch;
 mod cache;
@@ -14,6 +24,7 @@ pub use branch::{BpWr, BtbWr};
 pub use cache::{DcWr, IcWr};
 pub use contention::{MulWr, RobWr, VmxWr};
 
+use crate::gate::CALIBRATION_SAMPLES;
 use crate::substrate::Substrate;
 
 /// A one-bit storage entity encoded in microarchitectural state.
@@ -42,19 +53,60 @@ pub trait WeirdRegister {
     /// Stores `bit` into the MA resource.
     fn write(&self, s: &mut dyn Substrate, bit: bool);
 
-    /// Recovers the stored bit by timing an operation. **Invasive**: the
-    /// read itself changes MA state (usually toward `1` for cache-residency
-    /// registers).
+    /// Times the register's one probe and returns the delay in cycles.
+    /// **Invasive**: the probe itself changes MA state (usually toward
+    /// `1` for cache-residency registers).
+    fn read_delay(&self, s: &mut dyn Substrate) -> u64;
+
+    /// Recovers the stored bit: [`WeirdRegister::read_delay`] decoded
+    /// against the register's calibrated cut. Invasive like the probe.
     fn read(&self, s: &mut dyn Substrate) -> bool;
 
     /// Short human-readable name ("dc", "ic", "bp", …).
     fn name(&self) -> &'static str;
 }
 
-/// Splits hit-like from miss-like delays. `delay < threshold` reads as
-/// logic 1 for residency-style registers (cached = fast = 1).
-pub fn delay_to_bit(delay: u64, threshold: u64) -> bool {
-    delay < threshold
+/// A register's decision cut between its 0 and 1 probe delays.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cut {
+    threshold: u64,
+    /// Whether a delay below `threshold` reads as 1.
+    fast_is_one: bool,
+}
+
+impl Cut {
+    /// Writes 0 and 1 to `reg` in turn, timing the probe after each
+    /// write [`CALIBRATION_SAMPLES`] times; the cut is the midpoint of the
+    /// two medians, and the faster side reads as 1.
+    fn calibrate(reg: &dyn WeirdRegister, s: &mut dyn Substrate) -> Self {
+        let mut zeros = [0u64; CALIBRATION_SAMPLES];
+        let mut ones = [0u64; CALIBRATION_SAMPLES];
+        for (zero, one) in zeros.iter_mut().zip(&mut ones) {
+            reg.write(s, false);
+            *zero = reg.read_delay(s);
+            reg.write(s, true);
+            *one = reg.read_delay(s);
+        }
+        zeros.sort_unstable();
+        ones.sort_unstable();
+        let mid = CALIBRATION_SAMPLES / 2;
+        let (zero, one) = (zeros[mid], ones[mid]);
+        Self {
+            threshold: zero.min(one) + zero.abs_diff(one) / 2,
+            fast_is_one: one < zero,
+        }
+    }
+
+    fn decode(self, delay: u64) -> bool {
+        (delay < self.threshold) == self.fast_is_one
+    }
+}
+
+/// Times one `run_at(pc)`: the probe of the code-running registers.
+fn timed_run(s: &mut dyn Substrate, pc: u64) -> u64 {
+    let before = s.cycles();
+    s.run_at(pc);
+    s.cycles() - before
 }
 
 #[cfg(test)]
@@ -63,10 +115,8 @@ mod tests {
     use crate::layout::Layout;
     use uwm_sim::machine::{Machine, MachineConfig};
 
-    /// All seven WR types satisfy the round-trip contract under quiet noise.
-    #[test]
-    fn all_registers_round_trip() {
-        let mut m = Machine::new(MachineConfig::quiet(), 0);
+    fn assert_all_round_trip(cfg: MachineConfig) {
+        let mut m = Machine::new(cfg, 0);
         let mut lay = Layout::new(m.predictor().alias_stride());
         let regs: Vec<Box<dyn WeirdRegister>> = vec![
             Box::new(DcWr::build(&mut m, &mut lay).unwrap()),
@@ -85,10 +135,12 @@ mod tests {
         }
     }
 
+    /// All seven WR types satisfy the round-trip contract under quiet
+    /// noise, at default latencies and at four times every latency: each
+    /// decodes against the cut it calibrated on its own machine.
     #[test]
-    fn delay_to_bit_threshold() {
-        assert!(delay_to_bit(4, 100));
-        assert!(!delay_to_bit(200, 100));
-        assert!(!delay_to_bit(100, 100), "boundary counts as miss");
+    fn all_registers_round_trip() {
+        assert_all_round_trip(MachineConfig::quiet());
+        assert_all_round_trip(crate::skelly::quiet_x4_latency());
     }
 }

@@ -392,6 +392,40 @@ impl<S: Substrate> Skelly<S> {
     }
 }
 
+/// A quiet machine with every latency four times the default: the
+/// boundary between fast and slow reads moves far from the default one,
+/// so only gates, circuits and registers decoding against their own
+/// calibrated cut work.
+#[cfg(test)]
+pub(crate) fn quiet_x4_latency() -> MachineConfig {
+    use uwm_sim::timing::LatencyConfig;
+
+    let d = LatencyConfig::default();
+    MachineConfig {
+        latency: LatencyConfig {
+            l1: 4 * d.l1,
+            l2: 4 * d.l2,
+            l3: 4 * d.l3,
+            dram: 4 * d.dram,
+            alu: 4 * d.alu,
+            mul: 4 * d.mul,
+            div: 4 * d.div,
+            rdtscp: 4 * d.rdtscp,
+            clflush: 4 * d.clflush,
+            mispredict_penalty: 4 * d.mispredict_penalty,
+            btb_miss_penalty: 4 * d.btb_miss_penalty,
+            xbegin: 4 * d.xbegin,
+            xend: 4 * d.xend,
+            xabort: 4 * d.xabort,
+            tsx_spec_window: 4 * d.tsx_spec_window,
+            spec_window_slack: 4 * d.spec_window_slack,
+            vmx_warm: 4 * d.vmx_warm,
+            vmx_cold: 4 * d.vmx_cold,
+        },
+        ..MachineConfig::quiet()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,40 +533,15 @@ mod tests {
         assert_eq!(zero, one, "the flat emulator reads every input alike");
     }
 
-    /// A quiet machine with every latency four times the default: the
-    /// hit/miss boundary moves far from the default one, so only gates and
-    /// circuits decoding against their own calibrated threshold work.
+    /// Gates and circuits decode against their own calibrated threshold
+    /// on a machine with every latency four times the default.
     #[test]
     fn scaled_latency_decodes_against_calibrated_threshold() {
         use crate::circuit::{adder32_inputs, adder32_outputs, adder32_spec};
         use crate::gate::bp::BpAnd;
         use crate::gate::verify_truth_table;
-        use uwm_sim::timing::LatencyConfig;
 
-        let d = LatencyConfig::default();
-        let cfg = MachineConfig {
-            latency: LatencyConfig {
-                l1: 4 * d.l1,
-                l2: 4 * d.l2,
-                l3: 4 * d.l3,
-                dram: 4 * d.dram,
-                alu: 4 * d.alu,
-                mul: 4 * d.mul,
-                div: 4 * d.div,
-                rdtscp: 4 * d.rdtscp,
-                clflush: 4 * d.clflush,
-                mispredict_penalty: 4 * d.mispredict_penalty,
-                btb_miss_penalty: 4 * d.btb_miss_penalty,
-                xbegin: 4 * d.xbegin,
-                xend: 4 * d.xend,
-                xabort: 4 * d.xabort,
-                tsx_spec_window: 4 * d.tsx_spec_window,
-                spec_window_slack: 4 * d.spec_window_slack,
-                vmx_warm: 4 * d.vmx_warm,
-                vmx_cold: 4 * d.vmx_cold,
-            },
-            ..MachineConfig::quiet()
-        };
+        let cfg = super::quiet_x4_latency();
 
         assert_named_truth_tables(&mut Skelly::new(cfg.clone(), 0).unwrap());
 

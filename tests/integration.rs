@@ -20,15 +20,17 @@ fn register_and_gate_layers_share_state() {
     let mut lay = Layout::new(m.predictor().alias_stride());
     let input = lay.alloc_var().unwrap();
     let out = lay.alloc_var().unwrap();
+    // Both registers calibrate before the gate runs: calibrating the
+    // output line afterwards would overwrite the gate's result.
+    let reg = DcWr::at(&mut m, input);
+    let out_reg = DcWr::at(&mut m, out);
     let gate = TsxGate::spec_wired(&mut lay, TsxOp::Assign, &[input], &[out])
         .unwrap()
         .instantiate(&mut m);
-    let reg = DcWr::at(input, 100);
 
     reg.write(&mut m, true);
     gate.prepare(&mut m);
     gate.activate(&mut m);
-    let out_reg = DcWr::at(out, 100);
     assert!(out_reg.read(&mut m), "gate consumed the register's bit");
 }
 
