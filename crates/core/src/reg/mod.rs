@@ -136,11 +136,13 @@ mod tests {
     }
 
     /// All seven WR types satisfy the round-trip contract under quiet
-    /// noise, at default latencies and at four times every latency: each
-    /// decodes against the cut it calibrated on its own machine.
+    /// noise, at default latencies and at four and eight times every
+    /// latency: each decodes against the cut it calibrated on its own
+    /// machine.
     #[test]
     fn all_registers_round_trip() {
         assert_all_round_trip(MachineConfig::quiet());
-        assert_all_round_trip(crate::skelly::quiet_x4_latency());
+        assert_all_round_trip(crate::skelly::quiet_scaled_latency(4));
+        assert_all_round_trip(crate::skelly::quiet_scaled_latency(8));
     }
 }

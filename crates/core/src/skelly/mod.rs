@@ -392,35 +392,35 @@ impl<S: Substrate> Skelly<S> {
     }
 }
 
-/// A quiet machine with every latency four times the default: the
+/// A quiet machine with every latency `factor` times the default: the
 /// boundary between fast and slow reads moves far from the default one,
 /// so only gates, circuits and registers decoding against their own
 /// calibrated cut work.
 #[cfg(test)]
-pub(crate) fn quiet_x4_latency() -> MachineConfig {
+pub(crate) fn quiet_scaled_latency(factor: u64) -> MachineConfig {
     use uwm_sim::timing::LatencyConfig;
 
     let d = LatencyConfig::default();
     MachineConfig {
         latency: LatencyConfig {
-            l1: 4 * d.l1,
-            l2: 4 * d.l2,
-            l3: 4 * d.l3,
-            dram: 4 * d.dram,
-            alu: 4 * d.alu,
-            mul: 4 * d.mul,
-            div: 4 * d.div,
-            rdtscp: 4 * d.rdtscp,
-            clflush: 4 * d.clflush,
-            mispredict_penalty: 4 * d.mispredict_penalty,
-            btb_miss_penalty: 4 * d.btb_miss_penalty,
-            xbegin: 4 * d.xbegin,
-            xend: 4 * d.xend,
-            xabort: 4 * d.xabort,
-            tsx_spec_window: 4 * d.tsx_spec_window,
-            spec_window_slack: 4 * d.spec_window_slack,
-            vmx_warm: 4 * d.vmx_warm,
-            vmx_cold: 4 * d.vmx_cold,
+            l1: factor * d.l1,
+            l2: factor * d.l2,
+            l3: factor * d.l3,
+            dram: factor * d.dram,
+            alu: factor * d.alu,
+            mul: factor * d.mul,
+            div: factor * d.div,
+            rdtscp: factor * d.rdtscp,
+            clflush: factor * d.clflush,
+            mispredict_penalty: factor * d.mispredict_penalty,
+            btb_miss_penalty: factor * d.btb_miss_penalty,
+            xbegin: factor * d.xbegin,
+            xend: factor * d.xend,
+            xabort: factor * d.xabort,
+            tsx_spec_window: factor * d.tsx_spec_window,
+            spec_window_slack: factor * d.spec_window_slack,
+            vmx_warm: factor * d.vmx_warm,
+            vmx_cold: factor * d.vmx_cold,
         },
         ..MachineConfig::quiet()
     }
@@ -541,7 +541,7 @@ mod tests {
         use crate::gate::bp::BpAnd;
         use crate::gate::verify_truth_table;
 
-        let cfg = super::quiet_x4_latency();
+        let cfg = super::quiet_scaled_latency(4);
 
         assert_named_truth_tables(&mut Skelly::new(cfg.clone(), 0).unwrap());
 

@@ -29,11 +29,16 @@ pub struct Contention {
 
 /// How long (cycles) VMX machinery stays warm after use.
 pub const VMX_WARM_WINDOW: u64 = 5_000;
-/// How many cycles of multiplier occupancy one `mul` contributes. Larger
-/// than its latency because a 64-bit multiply occupies the port for several
-/// µops — this is what lets a burst of multiplies build a visible queue
-/// even though the issuing thread itself is throttled by fetch.
-pub const MUL_OCCUPANCY: u64 = 60;
+/// Cycles of multiplier occupancy one `mul` contributes, per cycle of its
+/// latency (60 at the default 5-cycle latency). Larger than the latency
+/// because a 64-bit multiply occupies the port for several µops — this is
+/// what lets a burst of multiplies build a visible queue even though the
+/// issuing thread itself is throttled by fetch. Scaling with the latency
+/// keeps that true when every latency is scaled: at eight times the
+/// default latencies a burst `mul` takes 72 cycles (a 32-cycle L1 fetch
+/// and a 40-cycle multiply), so a fixed 60-cycle occupancy never backs
+/// the queue up.
+pub const MUL_OCCUPANCY_PER_LATENCY: u64 = 12;
 /// ROB pressure drains at one micro-op per this many cycles.
 pub const ROB_DRAIN_RATE: u64 = 4;
 /// Maximum queue the multiplier accumulates.

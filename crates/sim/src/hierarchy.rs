@@ -1,10 +1,15 @@
-//! The inclusive L1I/L1D/L2/L3 cache hierarchy.
+//! The L1I/L1D/L2/L3 cache hierarchy.
 //!
 //! The hierarchy answers one question for the machine: *at which level does
 //! this access hit?* — because in a μWM the only output of the memory system
-//! that matters is latency. Inclusivity is modelled because the paper's
-//! `clflush` semantics (evict from *every* level) and cross-level
-//! entanglement depend on it.
+//! that matters is latency.
+//!
+//! The levels are not inclusive. An access fills every level it missed on
+//! its way down (a miss everywhere fills the L1, the L2 and the L3), but no
+//! eviction reaches the other levels: a line an L2 or L3 fill evicts may
+//! stay in an L1, and an L1 hit does not refresh the line's recency below.
+//! This is why `clflush` ([`Hierarchy::flush`]) probes and clears every
+//! level, both L1s included.
 
 use crate::cache::{line_of, Cache, CacheConfig};
 
@@ -52,7 +57,8 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// An inclusive three-level cache hierarchy with split L1.
+/// A three-level cache hierarchy with split L1, filled on every miss and
+/// not inclusive (see the module docs).
 ///
 /// # Examples
 ///
@@ -106,8 +112,8 @@ impl Hierarchy {
         if self.l2.access(addr) {
             return HitLevel::L2;
         }
-        // The L2/L3 `access` calls above already filled the line on miss;
-        // inclusivity holds because every fill propagates down the path.
+        // The L1/L2 `access` calls above already filled the line on miss;
+        // the L3 one fills it there too.
         if self.l3.access(addr) {
             return HitLevel::L3;
         }
@@ -142,7 +148,8 @@ impl Hierarchy {
     }
 
     /// `clflush` semantics: evict the line containing `addr` from every
-    /// level (both L1s, L2, L3).
+    /// level (both L1s, L2, L3). Every level is probed: the hierarchy is
+    /// not inclusive, so a line absent below may still sit in an L1.
     pub fn flush(&mut self, addr: u64) {
         self.l1i.invalidate(addr);
         self.l1d.invalidate(addr);
@@ -254,6 +261,32 @@ mod tests {
         // The first line was evicted from L1 but should still be in L2.
         assert_eq!(h.probe_data(0), HitLevel::L2);
         assert_eq!(h.access_data(0), HitLevel::L2);
+    }
+
+    /// No back-invalidation: when the L2 and L3 evict a line that the L1D
+    /// keeps hitting, the L1D keeps it.
+    #[test]
+    fn hierarchy_is_not_inclusive() {
+        let mut h = h();
+        let a = 0x40;
+        // One L3 set's stride; the L2 and L1D sets divide it, so every
+        // line below shares `a`'s set at all three levels.
+        let stride = CacheConfig::l3().sets as u64 * crate::cache::LINE_SIZE;
+        assert_eq!(h.access_data(a), HitLevel::Mem);
+        for i in 1..=CacheConfig::l3().ways as u64 + 1 {
+            h.access_data(a + i * stride);
+            assert_eq!(h.access_data(a), HitLevel::L1, "re-touch {i} hits L1D");
+        }
+        assert!(h.in_l1d(a));
+        assert!(!h.l2.contains(a), "evicted from L2");
+        assert!(!h.l3.contains(a), "evicted from L3");
+        assert_eq!(h.probe_data(a), HitLevel::L1);
+        h.flush(a);
+        assert_eq!(
+            h.probe_data(a),
+            HitLevel::Mem,
+            "clflush clears the L1D copy"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (ASPLOS '21) reproduction: a cycle-level model of the CPU components the
 //! paper computes with —
 //!
-//! * a split-L1, inclusive three-level [cache hierarchy](hierarchy) with
+//! * a split-L1, non-inclusive three-level [cache hierarchy](hierarchy) with
 //!   `clflush`,
 //! * a [direction predictor and BTB](branch) that can be mistrained through
 //!   aliased branches,

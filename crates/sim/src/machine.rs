@@ -694,8 +694,10 @@ impl Machine {
                 let v = self.regs[a as usize].wrapping_mul(self.operand(b));
                 let delay = self.contention.mul_delay(self.cycles);
                 self.cycles += lat.mul + delay;
-                self.contention
-                    .pressure_mul(crate::contention::MUL_OCCUPANCY, self.cycles);
+                self.contention.pressure_mul(
+                    crate::contention::MUL_OCCUPANCY_PER_LATENCY * lat.mul,
+                    self.cycles,
+                );
                 self.write_reg(dst, v);
                 StepResult::Continue(next)
             }
@@ -1014,8 +1016,10 @@ impl Machine {
                         let delay = self.contention.mul_delay(self.cycles + start);
                         vals[dst as usize] = vals[a as usize].wrapping_mul(operand_in(&vals, b));
                         ready[dst as usize] = start + lat.mul + delay;
-                        self.contention
-                            .pressure_mul(crate::contention::MUL_OCCUPANCY, self.cycles + start);
+                        self.contention.pressure_mul(
+                            crate::contention::MUL_OCCUPANCY_PER_LATENCY * lat.mul,
+                            self.cycles + start,
+                        );
                     } else {
                         ready[dst as usize] = NEVER;
                     }

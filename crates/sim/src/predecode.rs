@@ -79,8 +79,9 @@ pub struct CodeCache {
     pages: Vec<Page>,
     /// Page number (`addr / PAGE_SIZE`) → index into `pages`.
     index: IntMap<u64, u32>,
-    /// One-entry cache of the last page hit (the common case: gate code
-    /// stays within one or two pages).
+    /// One-entry memo of the last page looked up or installed into (the
+    /// common case: gate code stays within one or two pages). Host-side
+    /// bookkeeping like `modified`: equality ignores it.
     last: Option<(u64, u32)>,
     /// Simulated memory was written behind the machine's back; dynamic
     /// slots are untrusted until [`CodeCache::sync_external`] runs.
@@ -99,7 +100,6 @@ impl PartialEq for CodeCache {
     fn eq(&self, other: &Self) -> bool {
         self.pages == other.pages
             && self.index == other.index
-            && self.last == other.last
             && self.external_dirty == other.external_dirty
             && self.dynamic_slots == other.dynamic_slots
     }
@@ -133,13 +133,16 @@ impl CodeCache {
     /// means the caller must decode (slow path) and install the result.
     ///
     /// Callers must run [`CodeCache::sync_external`] first if host-side
-    /// memory writes may have happened.
+    /// memory writes may have happened. Takes `&mut self` only to remember
+    /// the page for the next lookup.
     #[inline]
-    pub fn lookup(&self, pc: u64) -> Option<Inst> {
+    pub fn lookup(&mut self, pc: u64) -> Option<Inst> {
         if !pc.is_multiple_of(INST_SIZE) {
             return None;
         }
-        let idx = self.page_of(pc / PAGE_SIZE)?;
+        let page_no = pc / PAGE_SIZE;
+        let idx = self.page_of(page_no)?;
+        self.last = Some((page_no, idx));
         match self.pages[idx as usize].slots[Self::slot_index(pc)] {
             Slot::Empty => None,
             Slot::Static(i) | Slot::Dynamic(i) => Some(i),
@@ -351,6 +354,23 @@ mod tests {
         cc.install_dynamic(8, mov(3));
         cc.sync_external();
         assert_eq!(cc.lookup(8), Some(mov(3)));
+    }
+
+    /// The page memo follows lookups, not only installs, and stays out
+    /// of equality.
+    #[test]
+    fn lookup_keeps_the_page_memo_warm() {
+        let mut p = Program::new();
+        p.put(0, mov(1));
+        p.put(PAGE_SIZE, Inst::Halt);
+        let mut cc = CodeCache::new();
+        cc.rebuild(&p);
+        let before = cc.clone();
+        assert_eq!(cc.lookup(0), Some(mov(1)));
+        assert_eq!(cc.last.map(|(page, _)| page), Some(0));
+        assert_eq!(cc.lookup(PAGE_SIZE), Some(Inst::Halt));
+        assert_eq!(cc.last.map(|(page, _)| page), Some(1));
+        assert!(cc == before, "the memo is not cache state");
     }
 
     #[test]
